@@ -52,7 +52,6 @@ const INSTRUMENTATION_MODULES: &[&str] = &[
     // named so the grant is explicit): pure bookkeeping fed by the
     // telemetry layer. Simulation results must never depend on it.
     "crates/core/src/telemetry/observatory.rs",
-    "crates/core/src/session.rs",
     "crates/sim/src/profile.rs",
     "crates/sim/src/kernel.rs",
     "crates/bench/src/serve.rs",

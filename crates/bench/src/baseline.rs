@@ -137,6 +137,7 @@ pub fn record_baseline(
         session.scale_model_block(block, factor);
     }
     session.run(&mut bus, cycles);
+    session.finish_trace();
 
     let mut hist = CycleHistogram::new(&WINDOW_POWER_BOUNDS_UW);
     for p in session.trace_points() {

@@ -1314,37 +1314,47 @@ fn telemetry_run(cycles: u64, seed: u64, jobs: usize) {
 }
 
 /// Measures what telemetry costs: functional-only vs power session with
-/// telemetry disabled (the default) vs enabled, and how the threaded
-/// seed sweep scales with `--jobs`. Writes `BENCH_telemetry.json`.
+/// telemetry disabled (the default) vs enabled, by
+/// [`Interleaved::measure`], and how the threaded seed sweep scales with
+/// `--jobs`. Writes `BENCH_telemetry.json`.
 fn telemetry_overhead(cycles: u64, seed: u64, jobs: usize) {
-    println!("== Telemetry overhead over {cycles} cycles ==");
-    let cfg = AnalysisConfig::paper_testbench();
-    let mut bus = build_paper_bus(cycles, seed);
-    let t0 = Instant::now();
-    bus.run(cycles);
-    let functional = t0.elapsed().as_secs_f64();
-
-    let mut bus = build_paper_bus(cycles, seed);
-    let mut session = PowerSession::with_telemetry(&cfg, TelemetryConfig::default());
-    let t0 = Instant::now();
-    session.run(&mut bus, cycles);
-    let disabled = t0.elapsed().as_secs_f64();
-
-    let mut bus = build_paper_bus(cycles, seed);
-    let tcfg = TelemetryConfig::enabled(PaperTestbench::LABEL).with_seed(seed);
-    let mut session = PowerSession::with_telemetry(&cfg, tcfg);
-    let t0 = Instant::now();
-    session.run(&mut bus, cycles);
-    let enabled = t0.elapsed().as_secs_f64();
-    session.finish_telemetry();
-
-    let enabled_pct = (enabled / disabled - 1.0) * 100.0;
-    println!("functional only:      {functional:.4} s");
     println!(
-        "power session (telemetry off): {disabled:.4} s ({:.2}x functional)",
-        disabled / functional
+        "== Telemetry overhead over {cycles} cycles ({OVERHEAD_REPS} reps; s = min, ratios = median per round) =="
     );
-    println!("power session (telemetry on):  {enabled:.4} s ({enabled_pct:+.1}% vs off)");
+    let cfg = AnalysisConfig::paper_testbench();
+    let functional = || {
+        let mut bus = build_paper_bus(cycles, seed);
+        let t0 = Instant::now();
+        bus.run(cycles);
+        t0.elapsed().as_secs_f64()
+    };
+    let run_session = |tcfg: TelemetryConfig| {
+        let mut bus = build_paper_bus(cycles, seed);
+        let mut session = PowerSession::with_telemetry(&cfg, tcfg);
+        let t0 = Instant::now();
+        session.run(&mut bus, cycles);
+        t0.elapsed().as_secs_f64()
+    };
+    let m = Interleaved::measure(cycles, 3, |leg| match leg {
+        0 => functional(),
+        1 => run_session(TelemetryConfig::default()),
+        _ => run_session(TelemetryConfig::enabled(PaperTestbench::LABEL).with_seed(seed)),
+    });
+    let (functional, disabled, enabled) = (m.min_s(0), m.min_s(1), m.min_s(2));
+    let instrumentation_ratio = m.median_ratio(1, 0);
+    let enabled_pct = m.overhead_pct(2, 1);
+    println!(
+        "functional only:               {functional:.4} s ({:.2} ns/cycle)",
+        m.min_ns_per_cycle(0)
+    );
+    println!(
+        "power session (telemetry off): {disabled:.4} s ({:.2} ns/cycle, {instrumentation_ratio:.2}x functional)",
+        m.min_ns_per_cycle(1)
+    );
+    println!(
+        "power session (telemetry on):  {enabled:.4} s ({:.2} ns/cycle, {enabled_pct:+.1}% vs off)",
+        m.min_ns_per_cycle(2)
+    );
 
     // The threaded seed sweep: serial baseline vs `--jobs` workers over
     // the same four telemetered runs.
@@ -1369,8 +1379,10 @@ fn telemetry_overhead(cycles: u64, seed: u64, jobs: usize) {
         sweep_serial / sweep_jobs
     );
     let json = format!(
-        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"jobs\": {jobs},\n  \"functional_s\": {functional:.6},\n  \"telemetry_disabled_s\": {disabled:.6},\n  \"telemetry_enabled_s\": {enabled:.6},\n  \"instrumentation_ratio\": {:.4},\n  \"enabled_overhead_pct\": {enabled_pct:.2},\n  \"seed_sweep_seeds\": {},\n  \"seed_sweep_cycles\": {sweep_cycles},\n  \"seed_sweep_serial_s\": {sweep_serial:.6},\n  \"seed_sweep_jobs_s\": {sweep_jobs:.6},\n  \"seed_sweep_speedup\": {:.4}\n}}\n",
-        disabled / functional,
+        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"jobs\": {jobs},\n  \"reps\": {OVERHEAD_REPS},\n  \"functional_s\": {functional:.6},\n  \"telemetry_disabled_s\": {disabled:.6},\n  \"telemetry_enabled_s\": {enabled:.6},\n  \"functional_ns_per_cycle\": {:.4},\n  \"disabled_ns_per_cycle\": {:.4},\n  \"enabled_ns_per_cycle\": {:.4},\n  \"instrumentation_ratio\": {instrumentation_ratio:.4},\n  \"enabled_overhead_pct\": {enabled_pct:.2},\n  \"seed_sweep_seeds\": {},\n  \"seed_sweep_cycles\": {sweep_cycles},\n  \"seed_sweep_serial_s\": {sweep_serial:.6},\n  \"seed_sweep_jobs_s\": {sweep_jobs:.6},\n  \"seed_sweep_speedup\": {:.4}\n}}\n",
+        m.min_ns_per_cycle(0),
+        m.min_ns_per_cycle(1),
+        m.min_ns_per_cycle(2),
         SWEEP_SEEDS,
         sweep_serial / sweep_jobs
     );
@@ -1518,7 +1530,7 @@ fn events_cmd(cycles: u64, seed: u64, slice_cycles: u64, inject: Option<&str>) {
     }
 }
 
-/// Timing repetitions per variant in `events-overhead` (fastest wins).
+/// Timing repetitions per leg in the `*-overhead` commands.
 const OVERHEAD_REPS: usize = 25;
 
 /// Median of a non-empty sample, sorting in place.
@@ -1532,17 +1544,60 @@ fn median(xs: &mut [f64]) -> f64 {
     }
 }
 
+/// The one timing method of the `*-overhead` commands. Every leg (one
+/// configuration timed over `cycles` cycles) runs [`OVERHEAD_REPS`]
+/// times round-robin. Absolute figures keep each leg's fastest pass
+/// (the standard noise-robust estimator for a deterministic workload);
+/// ratios between legs are the median of per-round ratios, because the
+/// legs of one round run back to back inside the same stretch of machine
+/// time, so host-load noise cancels in the ratio instead of biasing
+/// whichever leg's minimum landed in a quiet window.
+struct Interleaved {
+    cycles: u64,
+    /// `rounds[r][leg]`: seconds of `leg`'s pass in round `r`.
+    rounds: Vec<Vec<f64>>,
+}
+
+impl Interleaved {
+    /// Times `legs` legs; `pass(leg)` runs one pass of `leg` and returns
+    /// its timed seconds.
+    fn measure(cycles: u64, legs: usize, mut pass: impl FnMut(usize) -> f64) -> Self {
+        let rounds = (0..OVERHEAD_REPS)
+            .map(|_| (0..legs).map(&mut pass).collect())
+            .collect();
+        Interleaved { cycles, rounds }
+    }
+
+    /// `leg`'s fastest pass, seconds.
+    fn min_s(&self, leg: usize) -> f64 {
+        self.rounds
+            .iter()
+            .map(|r| r[leg])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// `leg`'s fastest pass, ns per cycle.
+    fn min_ns_per_cycle(&self, leg: usize) -> f64 {
+        self.min_s(leg) * 1e9 / self.cycles as f64
+    }
+
+    /// Median over rounds of `leg`'s time divided by `base`'s.
+    fn median_ratio(&self, leg: usize, base: usize) -> f64 {
+        let mut ratios: Vec<f64> = self.rounds.iter().map(|r| r[leg] / r[base]).collect();
+        median(&mut ratios)
+    }
+
+    /// [`Interleaved::median_ratio`] as a percent overhead.
+    fn overhead_pct(&self, leg: usize, base: usize) -> f64 {
+        (self.median_ratio(leg, base) - 1.0) * 100.0
+    }
+}
+
 /// `repro events-overhead`: what the structured event ring costs. Runs
 /// the same telemetered workload three ways — no tap attached, tap
 /// attached with the ring disabled (the cold-atomic path), and fully
-/// enabled — then reports ns/cycle, the deltas, and the enabled ring's
-/// publish rate. Each variant runs [`OVERHEAD_REPS`] times round-robin;
-/// ns/cycle figures keep the fastest pass (the standard noise-robust
-/// estimator for deterministic workloads), while the overhead
-/// percentages are the median of per-round ratios: the three variants
-/// of one round run back-to-back inside the same stretch of machine
-/// time, so slow-host noise cancels in the ratio instead of biasing
-/// whichever variant's minimum landed in a quiet window. Writes
+/// enabled — by [`Interleaved::measure`], then reports ns/cycle, the
+/// overheads, and the enabled ring's publish rate. Writes
 /// `BENCH_events.json`.
 fn events_overhead(cycles: u64, seed: u64) {
     use ahbpower::telemetry::{AnomalyConfig, EventBus, DEFAULT_EVENT_CAPACITY};
@@ -1559,7 +1614,7 @@ fn events_overhead(cycles: u64, seed: u64) {
     // falls back to its own per-cycle window accounting and the bench
     // would charge the ring for work the product config never does.
     let anomaly = || AnomalyConfig::default().with_warmup_windows(4);
-    let run_no_tap = || {
+    let no_tap = || {
         let mut bus = build_paper_bus(cycles, seed);
         let tcfg = TelemetryConfig::enabled(label)
             .with_seed(seed)
@@ -1569,7 +1624,8 @@ fn events_overhead(cycles: u64, seed: u64) {
         session.run(&mut bus, cycles);
         t0.elapsed().as_secs_f64()
     };
-    let run_with_ring = |enabled: bool| {
+    let mut published = 0u64;
+    let mut run_with_ring = |enabled: bool| {
         let ring = EventBus::shared(DEFAULT_EVENT_CAPACITY);
         ring.set_enabled(enabled);
         let mut bus = build_paper_bus(cycles, seed);
@@ -1582,35 +1638,23 @@ fn events_overhead(cycles: u64, seed: u64) {
         session.begin_slice(0);
         session.run(&mut bus, cycles);
         session.end_slice();
-        (t0.elapsed().as_secs_f64(), ring.published())
+        let elapsed = t0.elapsed().as_secs_f64();
+        if enabled {
+            published = ring.published();
+        }
+        elapsed
     };
+    let m = Interleaved::measure(cycles, 3, |leg| match leg {
+        0 => no_tap(),
+        _ => run_with_ring(leg == 2),
+    });
 
-    // Round-robin the variants so a slow stretch of machine time hits
-    // all three roughly equally instead of biasing one delta.
-    let mut no_tap = f64::INFINITY;
-    let mut disabled = f64::INFINITY;
-    let mut enabled = f64::INFINITY;
-    let mut disabled_ratios = Vec::with_capacity(OVERHEAD_REPS);
-    let mut enabled_ratios = Vec::with_capacity(OVERHEAD_REPS);
-    let mut published = 0u64;
-    for _ in 0..OVERHEAD_REPS {
-        let t_no = run_no_tap();
-        let (t_dis, _) = run_with_ring(false);
-        let (t_en, p) = run_with_ring(true);
-        no_tap = no_tap.min(t_no);
-        disabled = disabled.min(t_dis);
-        enabled = enabled.min(t_en);
-        disabled_ratios.push(t_dis / t_no);
-        enabled_ratios.push(t_en / t_no);
-        published = p;
-    }
-
-    let no_tap_ns = no_tap * 1e9 / cycles as f64;
-    let disabled_ns = disabled * 1e9 / cycles as f64;
-    let enabled_ns = enabled * 1e9 / cycles as f64;
-    let disabled_pct = (median(&mut disabled_ratios) - 1.0) * 100.0;
-    let enabled_pct = (median(&mut enabled_ratios) - 1.0) * 100.0;
-    let events_per_sec = published as f64 / enabled;
+    let no_tap_ns = m.min_ns_per_cycle(0);
+    let disabled_ns = m.min_ns_per_cycle(1);
+    let enabled_ns = m.min_ns_per_cycle(2);
+    let disabled_pct = m.overhead_pct(1, 0);
+    let enabled_pct = m.overhead_pct(2, 0);
+    let events_per_sec = published as f64 / m.min_s(2);
     println!("no event tap:        {no_tap_ns:>7.2} ns/cycle");
     println!("tap, ring disabled:  {disabled_ns:>7.2} ns/cycle ({disabled_pct:+.2}%)");
     println!(
@@ -1632,11 +1676,10 @@ const OBSERVATORY_CEILING_PCT: f64 = 5.0;
 /// observatory costs. Runs the same telemetered workload (anomaly
 /// detector attached, like every serve deployment) two ways — without
 /// and with the observatory ingesting every window into its three
-/// retention levels — then reports ns/cycle and the overhead against
-/// the [`OBSERVATORY_CEILING_PCT`] budget. Same noise protocol as
-/// `events-overhead`: [`OVERHEAD_REPS`] reps round-robin, minima for
-/// ns/cycle, median per-round ratio for the percentage. Writes
-/// `BENCH_observatory.json`; exits 1 when the ceiling is blown.
+/// retention levels — by [`Interleaved::measure`], then reports
+/// ns/cycle and the overhead against the [`OBSERVATORY_CEILING_PCT`]
+/// budget. Writes `BENCH_observatory.json`; exits 1 when the ceiling is
+/// blown.
 fn observatory_overhead(cycles: u64, seed: u64) {
     use ahbpower::telemetry::{AnomalyConfig, ObservatoryConfig};
 
@@ -1645,49 +1688,28 @@ fn observatory_overhead(cycles: u64, seed: u64) {
     );
     let acfg = AnalysisConfig::paper_testbench();
     let label = PaperTestbench::LABEL;
-    let anomaly = || AnomalyConfig::default().with_warmup_windows(4);
-    let run_base = || {
+    let mut windows = 0u64;
+    let mut run = |observatory: bool| {
         let mut bus = build_paper_bus(cycles, seed);
-        let tcfg = TelemetryConfig::enabled(label)
+        let mut tcfg = TelemetryConfig::enabled(label)
             .with_seed(seed)
-            .with_anomaly(anomaly());
-        let mut session = PowerSession::with_telemetry(&acfg, tcfg);
-        let t0 = Instant::now();
-        session.run(&mut bus, cycles);
-        t0.elapsed().as_secs_f64()
-    };
-    let run_obs = || {
-        let mut bus = build_paper_bus(cycles, seed);
-        let tcfg = TelemetryConfig::enabled(label)
-            .with_seed(seed)
-            .with_anomaly(anomaly())
-            .with_observatory(ObservatoryConfig::default());
+            .with_anomaly(AnomalyConfig::default().with_warmup_windows(4));
+        if observatory {
+            tcfg = tcfg.with_observatory(ObservatoryConfig::default());
+        }
         let mut session = PowerSession::with_telemetry(&acfg, tcfg);
         let t0 = Instant::now();
         session.run(&mut bus, cycles);
         let elapsed = t0.elapsed().as_secs_f64();
-        let windows = session
-            .telemetry()
-            .and_then(|t| t.observatory())
-            .map_or(0, |o| o.windows_ingested());
-        (elapsed, windows)
+        if let Some(o) = session.telemetry().and_then(|t| t.observatory()) {
+            windows = o.windows_ingested();
+        }
+        elapsed
     };
-
-    let mut base = f64::INFINITY;
-    let mut obs = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(OVERHEAD_REPS);
-    let mut windows = 0u64;
-    for _ in 0..OVERHEAD_REPS {
-        let t_base = run_base();
-        let (t_obs, w) = run_obs();
-        base = base.min(t_base);
-        obs = obs.min(t_obs);
-        ratios.push(t_obs / t_base);
-        windows = w;
-    }
-    let base_ns = base * 1e9 / cycles as f64;
-    let obs_ns = obs * 1e9 / cycles as f64;
-    let overhead_pct = (median(&mut ratios) - 1.0) * 100.0;
+    let m = Interleaved::measure(cycles, 2, |leg| run(leg == 1));
+    let base_ns = m.min_ns_per_cycle(0);
+    let obs_ns = m.min_ns_per_cycle(1);
+    let overhead_pct = m.overhead_pct(1, 0);
     let within = overhead_pct <= OBSERVATORY_CEILING_PCT;
     println!("anomaly only:          {base_ns:>7.2} ns/cycle");
     println!(

@@ -81,6 +81,7 @@ pub fn run_paper_experiment(cycles: u64, seed: u64) -> PaperRun {
     let mut bus = tb.build().expect("paper testbench is statically valid");
     let mut session = PowerSession::new(&config);
     session.run(&mut bus, cycles);
+    session.finish_trace();
     PaperRun {
         config,
         session,
@@ -104,6 +105,7 @@ pub fn run_paper_experiment_telemetered(cycles: u64, seed: u64) -> PaperRun {
     let tcfg = TelemetryConfig::enabled(PaperTestbench::LABEL).with_seed(seed);
     let mut session = PowerSession::with_telemetry(&config, tcfg);
     session.run(&mut bus, cycles);
+    session.finish_trace();
     PaperRun {
         config,
         session,
@@ -128,6 +130,7 @@ pub fn run_paper_experiment_traced(cycles: u64, seed: u64, ring_capacity: usize)
     let mut session =
         PowerSession::with_txn_tracer(&config, TxnTracerConfig::enabled(ring_capacity));
     session.run(&mut bus, cycles);
+    session.finish_trace();
     PaperRun {
         config,
         session,
@@ -165,6 +168,7 @@ pub fn run_soc_experiment_traced(cycles: u64, seed: u64, ring_capacity: usize) -
     let mut session =
         PowerSession::with_txn_tracer(&config, TxnTracerConfig::enabled(ring_capacity));
     session.run(&mut bus, cycles);
+    session.finish_trace();
     PaperRun {
         config,
         session,

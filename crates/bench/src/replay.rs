@@ -30,6 +30,7 @@ pub fn run_paper_experiment_recorded(cycles: u64, seed: u64) -> (PaperRun, Activ
     let mut bus = tb.build().expect("paper testbench is statically valid");
     let mut session = PowerSession::with_recorder(&config);
     session.run(&mut bus, cycles);
+    session.finish_trace();
     let trace = session.finish_recorder().expect("recorder attached");
     (
         PaperRun {
@@ -94,6 +95,7 @@ pub fn resimulate_variant(cycles: u64, seed: u64, k: usize) -> PowerSession {
     let mut bus = build_paper_bus(cycles, seed);
     let mut session = PowerSession::with_model(model, cfg.window_cycles, cfg.f_clk_hz);
     session.run(&mut bus, cycles);
+    session.finish_trace();
     session
 }
 

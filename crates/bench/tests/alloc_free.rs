@@ -11,7 +11,9 @@
 //!    (read completions are recorded into a master-side queue, the one
 //!    remaining amortized allocation site);
 //! 3. on the full paper testbench the allocation count does not scale with
-//!    the cycle count (bounded bookkeeping, not per-cycle garbage).
+//!    the cycle count (bounded bookkeeping, not per-cycle garbage);
+//! 4. later phases pin the event ring, the replay loop, the observatory
+//!    and the telemetered session observer (sampled span included).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -234,4 +236,33 @@ fn hot_path_does_not_allocate_per_cycle() {
         "observatory ingest must not allocate in steady state"
     );
     assert_eq!(obs.windows_ingested(), 1_200, "every window closed");
+
+    // --- 7. Telemetered session observer: no allocations of its own. -----
+    // The sampled `session_observe` span (one clock read pair per 61
+    // cycles), the bus-performance analyzer and the detector add nothing
+    // to what a plain session allocates over the same snapshots: both
+    // grow the same power-trace point buffer, by doubling.
+    use ahbpower::telemetry::{AnomalyConfig, TelemetryConfig};
+    use ahbpower::PowerSession;
+    let session_allocs = |mut session: PowerSession| {
+        for s in &trace[..2_000] {
+            session.observe(s);
+        }
+        let before = allocations();
+        for s in &trace[2_000..] {
+            session.observe(s);
+        }
+        allocations() - before
+    };
+    let plain = session_allocs(PowerSession::new(&cfg));
+    assert!(
+        plain < 32,
+        "plain session allocated {plain} times over 8k cycles"
+    );
+    let tcfg = TelemetryConfig::enabled("alloc_free").with_anomaly(AnomalyConfig::default());
+    let telemetered = session_allocs(PowerSession::with_telemetry(&cfg, tcfg));
+    assert_eq!(
+        telemetered, plain,
+        "the sampled telemetry observer must not allocate per cycle"
+    );
 }

@@ -1,7 +1,5 @@
 //! One-stop analysis session: FSM + ledgers + power trace over a bus run.
 
-use std::time::Instant;
-
 use ahbpower_ahb::{AhbBus, BusSnapshot};
 
 use crate::config::AnalysisConfig;
@@ -116,37 +114,29 @@ impl PowerSession {
         self.fsm.scale_block(block, factor);
     }
 
-    /// Observes one cycle.
+    /// Observes one cycle. With telemetry on, every pass is counted in
+    /// the `session_observe` span and a 1-in-61 sample of passes is
+    /// timed (see [`crate::telemetry::SpanSet::sample_start`]).
     pub fn observe(&mut self, snap: &BusSnapshot) {
-        match &mut self.telemetry {
-            None => {
-                let rec = self.fsm.observe(snap);
-                self.trace.push(rec.energy);
-                if let Some(x) = &mut self.txn {
-                    x.observe(snap, &rec);
-                }
-                if let Some(r) = &mut self.recorder {
-                    r.record(snap, rec.instruction);
-                }
-            }
-            Some(t) => {
-                let t0 = Instant::now();
-                let rec = self.fsm.observe(snap);
-                self.trace.push(rec.energy);
-                if let Some(x) = &mut self.txn {
-                    x.observe(snap, &rec);
-                }
-                if let Some(r) = &mut self.recorder {
-                    r.record(snap, rec.instruction);
-                }
-                t.observe_bus(snap);
-                t.observe_power(rec.instruction, &rec.energy, snap.hmaster.index());
-                t.record_observe(t0.elapsed());
-            }
+        let started = self.telemetry.as_mut().and_then(|t| t.observe_start());
+        let rec = self.fsm.observe(snap);
+        self.trace.push(rec.energy);
+        if let Some(x) = &mut self.txn {
+            x.observe(snap, &rec);
+        }
+        if let Some(r) = &mut self.recorder {
+            r.record(snap, rec.instruction);
+        }
+        if let Some(t) = &mut self.telemetry {
+            t.observe_bus(snap);
+            t.observe_power(rec.instruction, &rec.energy, snap.hmaster.index());
+            t.observe_stop(started);
         }
     }
 
-    /// Runs `cycles` bus cycles under observation.
+    /// Runs `cycles` bus cycles under observation. A power-trace window
+    /// left open at the end stays open, so consecutive runs trace exactly
+    /// like one long run; [`PowerSession::finish_trace`] flushes it.
     pub fn run(&mut self, bus: &mut AhbBus, cycles: u64) {
         if self.telemetry.is_none() && self.txn.is_none() && self.recorder.is_none() {
             // The pre-telemetry hot loop, untouched: sessions without
@@ -162,6 +152,12 @@ impl PowerSession {
                 self.observe(snap);
             }
         }
+    }
+
+    /// Ends the power trace: flushes a partial trailing window as one
+    /// last (shorter) point. Call it once, after the last
+    /// [`PowerSession::run`]; a later run starts a fresh window.
+    pub fn finish_trace(&mut self) {
         self.trace.finish();
     }
 
@@ -231,7 +227,8 @@ impl PowerSession {
         self.fsm.blocks()
     }
 
-    /// Power-trace points (Figs. 3-5).
+    /// Power-trace points (Figs. 3-5): the completed windows, plus a
+    /// partial trailing one once [`PowerSession::finish_trace`] ran.
     pub fn trace_points(&self) -> &[TracePoint] {
         self.trace.points()
     }
@@ -269,6 +266,72 @@ mod tests {
             .slave(Box::new(MemorySlave::new(0x1000, 1, 0)))
             .build()
             .unwrap()
+    }
+
+    /// A single master streaming writes and reads over both slaves, so
+    /// every power-trace window carries traffic.
+    fn busy_bus() -> AhbBus {
+        let ops = (0..600u32)
+            .map(|i| {
+                let addr = (i * 0x44) % 0x2000;
+                if i % 3 == 2 {
+                    Op::read(addr)
+                } else {
+                    Op::write(addr, i.wrapping_mul(0x9E37_79B9))
+                }
+            })
+            .collect();
+        AhbBusBuilder::new(AddressMap::evenly_spaced(2, 0x1000))
+            .master(Box::new(ScriptedMaster::new(ops)))
+            .slave(Box::new(MemorySlave::new(0x1000, 0, 0)))
+            .slave(Box::new(MemorySlave::new(0x1000, 1, 0)))
+            .build()
+            .unwrap()
+    }
+
+    fn two_by_two() -> AnalysisConfig {
+        let mut cfg = AnalysisConfig::paper_testbench();
+        cfg.n_masters = 2;
+        cfg.n_slaves = 2;
+        cfg
+    }
+
+    #[test]
+    fn split_runs_trace_like_one_run_and_its_replay() {
+        let cfg = two_by_two();
+        assert_eq!(cfg.window_cycles, 20);
+        let mut whole = PowerSession::new(&cfg);
+        whole.run(&mut busy_bus(), 1_000);
+        whole.finish_trace();
+
+        // 510 cycles end mid-window: the open window must carry over
+        // into the next run instead of being flushed as a 51st point.
+        let mut split = PowerSession::with_recorder(&cfg);
+        let mut b = busy_bus();
+        split.run(&mut b, 510);
+        assert_eq!(split.trace_points().len(), 25);
+        split.run(&mut b, 490);
+        split.finish_trace();
+        assert_eq!(split.trace_points().len(), 50);
+        assert_eq!(split.total_energy(), whole.total_energy());
+        assert_eq!(split.trace_points(), whole.trace_points());
+
+        let recording = split.finish_recorder().expect("recorder attached");
+        let model = AhbPowerModel::new(cfg.n_masters, cfg.n_slaves, &cfg.tech());
+        let out = crate::ReplayEngine::new(&model).replay(&recording);
+        assert_eq!(out.trace_points(), split.trace_points());
+    }
+
+    #[test]
+    fn finish_trace_flushes_the_partial_window_once() {
+        let cfg = two_by_two();
+        let mut session = PowerSession::new(&cfg);
+        session.run(&mut busy_bus(), 1_007);
+        assert_eq!(session.trace_points().len(), 50);
+        session.finish_trace();
+        assert_eq!(session.trace_points().len(), 51);
+        session.finish_trace();
+        assert_eq!(session.trace_points().len(), 51);
     }
 
     #[test]
@@ -384,7 +447,7 @@ mod tests {
         assert_eq!(reg.counter_value("ahb_cycles_total", &[]), Some(40.0));
         let booked = reg.counter_value("power_total_energy_joules", &[]).unwrap();
         assert!((booked - plain_energy).abs() < 1e-18);
-        // The observer span timed every cycle.
+        // The observer span counted every cycle.
         assert_eq!(
             reg.counter_value(
                 "telemetry_span_invocations_total",
@@ -392,6 +455,12 @@ mod tests {
             ),
             Some(40.0)
         );
+        // ...and timed cycle 0, the first of its 1-in-61 sample.
+        let seconds = reg.counter_value(
+            "telemetry_span_seconds_total",
+            &[("span", "session_observe")],
+        );
+        assert!(seconds.is_some_and(|s| s > 0.0));
         let jsonl = t.to_jsonl();
         assert!(jsonl.starts_with("{\"event\":\"meta\",\"scenario\":\"session_test\""));
         assert!(jsonl.contains("\"seed\":9"));

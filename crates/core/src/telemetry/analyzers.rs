@@ -10,7 +10,7 @@ use ahbpower_sim::{KernelProfile, KernelStats};
 
 use crate::power_fsm::PowerFsm;
 use crate::telemetry::registry::MetricsRegistry;
-use crate::telemetry::span::SpanSet;
+use crate::telemetry::span::{SpanSet, SAMPLE_STRIDE};
 
 /// Publishes bus-performance counters and histograms:
 /// `ahb_cycles_total`, per-master grant/wait/transfer counters,
@@ -138,13 +138,13 @@ pub fn publish_power(reg: &mut MetricsRegistry, fsm: &PowerFsm) {
 /// Publishes a [`SpanSet`] as `telemetry_span_seconds_total` /
 /// `telemetry_span_invocations_total`, labelled by span name.
 pub fn publish_spans(reg: &mut MetricsRegistry, spans: &SpanSet) {
+    let seconds_help = format!(
+        "Wall-clock time spent inside each instrumented span; session_observe \
+         is estimated from a 1-in-{SAMPLE_STRIDE} sample (sampled time x {SAMPLE_STRIDE})."
+    );
     for (name, stat) in spans.iter() {
         let labels = [("span", name)];
-        let c = reg.counter(
-            "telemetry_span_seconds_total",
-            "Wall-clock time spent inside each instrumented span.",
-            &labels,
-        );
+        let c = reg.counter("telemetry_span_seconds_total", &seconds_help, &labels);
         reg.add(c, stat.total.as_secs_f64());
         let c = reg.counter(
             "telemetry_span_invocations_total",

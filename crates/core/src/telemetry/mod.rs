@@ -6,7 +6,8 @@
 //! telemetry state at all and its hot loop is the same code path as before
 //! this module existed (one `Option` discriminant test per run, not per
 //! cycle). When enabled, the session feeds every [`BusSnapshot`] to a
-//! [`BusPerfAnalyzer`] and times its own observer loop; at the end of the
+//! [`BusPerfAnalyzer`] and times its own observer loop on a 1-in-61
+//! sample (see [`SpanSet::sample_start`]); at the end of the
 //! run [`Telemetry::finalize`] folds the analyzers, the power FSM's
 //! ledgers and any kernel profile into a [`MetricsRegistry`], which the
 //! exporters render in three formats.
@@ -60,10 +61,10 @@ pub use registry::{
     is_valid_metric_name, sanitize_metric_name, Counter, CounterId, Gauge, GaugeId, Histogram,
     HistogramId, MetricMeta, MetricsRegistry,
 };
-pub use span::{SpanId, SpanSet};
+pub use span::{SpanId, SpanSet, SAMPLE_STRIDE};
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ahbpower_ahb::{BusPerfAnalyzer, BusSnapshot};
 use ahbpower_sim::{KernelProfile, KernelStats};
@@ -215,6 +216,20 @@ impl Telemetry {
     #[inline]
     pub fn record_observe(&mut self, elapsed: Duration) {
         self.spans.record(self.observe_span, elapsed);
+    }
+
+    /// Opens one pass of the session's observer hot loop: counts it and,
+    /// on the sampled passes, returns the instant to hand to
+    /// [`Telemetry::observe_stop`] (see [`SpanSet::sample_start`]).
+    #[inline]
+    pub(crate) fn observe_start(&mut self) -> Option<Instant> {
+        self.spans.sample_start(self.observe_span)
+    }
+
+    /// Closes a pass opened by [`Telemetry::observe_start`].
+    #[inline]
+    pub(crate) fn observe_stop(&mut self, started: Option<Instant>) {
+        self.spans.sample_stop(self.observe_span, started);
     }
 
     /// Feeds one cycle's instruction and per-block energy (attributed

@@ -20,6 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut bus = tb.build()?;
     let mut session = PowerSession::new(&cfg);
     session.run(&mut bus, cycles);
+    session.finish_trace();
 
     println!(
         "paper testbench: {cycles} cycles at 100 MHz = {:.1} us simulated",

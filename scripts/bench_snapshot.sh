@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Snapshot the performance numbers into the repo root:
 #   BENCH_telemetry.json — functional-only vs power session with telemetry
-#                          disabled (default) vs enabled;
+#                          disabled (default) vs enabled (25 interleaved
+#                          reps: min ns/cycle, median per-round ratios);
 #   BENCH_sweep.json     — serial vs parallel seed×style sweep (wall time,
 #                          speedup, ns/cycle, byte-identity check);
 #   BENCH_events.json    — structured event ring: no tap vs disabled ring

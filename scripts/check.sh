@@ -69,7 +69,15 @@ echo "  repro ok (artifacts in results/)"
 
 echo "== telemetry (smoke, 100k cycles) =="
 cargo run --release -p ahbpower-bench --bin repro -- telemetry --cycles 100000 > /dev/null
-echo "  telemetry ok (results/telemetry.{jsonl,csv,prom})"
+# The session observer is timed on a 1-in-61 sample, but its invocation
+# count must stay exact: one per simulated cycle.
+OBSERVED="$(awk '$1 == "telemetry_span_invocations_total{span=\"session_observe\"}" {print $2}' results/telemetry.prom)"
+CYCLES="$(awk '$1 == "ahb_cycles_total" {print $2}' results/telemetry.prom)"
+if [ -z "$CYCLES" ] || [ "$OBSERVED" != "$CYCLES" ]; then
+    echo "  ERROR: session_observe invocations ($OBSERVED) != ahb_cycles_total ($CYCLES)" >&2
+    exit 1
+fi
+echo "  telemetry ok (results/telemetry.{jsonl,csv,prom}; $OBSERVED observed cycles)"
 
 echo "== parallel sweep (smoke, 2 threads, 20k cycles) =="
 cargo run --release -p ahbpower-bench --bin repro -- sweep --cycles 20000 --jobs 2 > /dev/null

@@ -2241,33 +2241,37 @@ fn replay_cmd(
 }
 
 /// `repro replay-bench`: the trace-once / estimate-many numbers. Times
-/// the plain instrumented simulation, the same run with the recorder
-/// attached (record overhead), the branchless replay hot loop
+/// the plain instrumented simulation and the same run with the recorder
+/// attached by [`Interleaved::measure`] (record overhead: min ns/cycle,
+/// median per-round ratio), the branchless replay hot loop
 /// (throughput), and a full `--variants`-wide coefficient sweep done
 /// both ways — re-simulating vs replaying — then writes
 /// `BENCH_replay.json`.
 fn replay_bench(cycles: u64, seed: u64, variants: usize, jobs: usize) {
     use ahbpower::{ReplayEngine, ReplayOutcome};
-    println!("== Replay bench: {cycles} cycles, {variants} variants, {jobs} jobs ==");
+    println!("== Replay bench: {cycles} cycles, {variants} variants, {jobs} jobs, {OVERHEAD_REPS} reps ==");
     let cfg = AnalysisConfig::paper_testbench();
 
-    // Plain instrumented simulation (the baseline everything compares to).
-    let mut bus = build_paper_bus(cycles, seed);
-    let mut session = PowerSession::new(&cfg);
-    let t0 = Instant::now();
-    session.run(&mut bus, cycles);
-    let sim_s = t0.elapsed().as_secs_f64();
-    let live_total = session.total_energy();
-
-    // Same run with the recorder tap attached (bus built outside the
-    // timed region, symmetric with the baseline leg).
-    let mut bus = build_paper_bus(cycles, seed);
-    let mut recording = PowerSession::with_recorder(&cfg);
-    let t0 = Instant::now();
-    recording.run(&mut bus, cycles);
-    let record_s = t0.elapsed().as_secs_f64();
-    let record_pct = (record_s / sim_s - 1.0) * 100.0;
-    let trace = recording.finish_recorder().expect("recorder attached");
+    // Plain instrumented simulation (leg 0, the baseline everything
+    // compares to) and the same run with the recorder attached (leg 1),
+    // interleaved; buses are built outside the timed region.
+    let (mut live_total, mut trace) = (0.0, None);
+    let m = Interleaved::measure(cycles, 2, |leg| {
+        let mut bus = build_paper_bus(cycles, seed);
+        let mut session = match leg {
+            0 => PowerSession::new(&cfg),
+            _ => PowerSession::with_recorder(&cfg),
+        };
+        let t0 = Instant::now();
+        session.run(&mut bus, cycles);
+        let s = t0.elapsed().as_secs_f64();
+        live_total = session.total_energy();
+        trace = session.finish_recorder().or(trace.take());
+        s
+    });
+    let (sim_s, record_s) = (m.min_s(0), m.min_s(1));
+    let record_pct = m.overhead_pct(1, 0);
+    let trace = trace.expect("recorder attached");
     let trace_bytes = trace.to_bytes().len();
 
     // Replay hot-loop throughput: windows-off outcome reused across
@@ -2281,7 +2285,7 @@ fn replay_bench(cycles: u64, seed: u64, variants: usize, jobs: usize) {
         engine.replay_into(&trace, &mut out);
         replay_s = replay_s.min(t0.elapsed().as_secs_f64());
     }
-    let golden_ok = out.total_energy().to_bits() == recording.total_energy().to_bits()
+    let golden_ok = out.total_energy().to_bits() == trace.live_total_j.to_bits()
         && (out.total_energy() - live_total).abs() <= 1e-9;
     assert!(golden_ok, "replay diverged from the live ledger");
     let replay_cps = cycles as f64 / replay_s;
@@ -2325,7 +2329,7 @@ fn replay_bench(cycles: u64, seed: u64, variants: usize, jobs: usize) {
     );
     println!("{variants}-variant sweep: re-simulate {resim_s:.3} s vs replay {sweep_replay_s:.4} s -> {speedup:.1}x (all variants bit-identical)");
     let json = format!(
-        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"variants\": {variants},\n  \"jobs\": {jobs},\n  \"available_cores\": {},\n  \"sim_ns_per_cycle\": {sim_ns:.2},\n  \"record_ns_per_cycle\": {record_ns:.2},\n  \"record_overhead_pct\": {record_pct:.2},\n  \"replay_ns_per_cycle\": {replay_ns:.4},\n  \"replay_cycles_per_sec\": {replay_cps:.0},\n  \"trace_bytes\": {trace_bytes},\n  \"trace_bytes_per_cycle\": {:.3},\n  \"resim_sweep_s\": {resim_s:.6},\n  \"replay_sweep_s\": {sweep_replay_s:.6},\n  \"sweep_speedup\": {speedup:.2},\n  \"golden_ok\": {golden_ok}\n}}\n",
+        "{{\n  \"cycles\": {cycles},\n  \"seed\": {seed},\n  \"variants\": {variants},\n  \"jobs\": {jobs},\n  \"reps\": {OVERHEAD_REPS},\n  \"available_cores\": {},\n  \"sim_ns_per_cycle\": {sim_ns:.2},\n  \"record_ns_per_cycle\": {record_ns:.2},\n  \"record_overhead_pct\": {record_pct:.2},\n  \"replay_ns_per_cycle\": {replay_ns:.4},\n  \"replay_cycles_per_sec\": {replay_cps:.0},\n  \"trace_bytes\": {trace_bytes},\n  \"trace_bytes_per_cycle\": {:.3},\n  \"resim_sweep_s\": {resim_s:.6},\n  \"replay_sweep_s\": {sweep_replay_s:.6},\n  \"sweep_speedup\": {speedup:.2},\n  \"golden_ok\": {golden_ok}\n}}\n",
         available_jobs(),
         trace_bytes as f64 / cycles as f64
     );

@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ahbpower::telemetry::json_escape;
 use ahbpower_ahb::CycleHistogram;
 
 use crate::serve::http_get;
@@ -243,22 +244,6 @@ pub fn loadgen_report_json(report: &LoadgenReport, shards: usize) -> String {
         );
     }
     out.push_str("]}");
-    out
-}
-
-/// Escapes the characters a URL path could smuggle into a JSON string.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -160,6 +160,34 @@ impl fmt::Display for Instruction {
     }
 }
 
+/// The instruction-recognition half of the paper's `power_fsm()`: holds
+/// the current activity mode and the master of the most recent transfer,
+/// and turns each observed cycle into the instruction it executed.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct InstructionRecognizer {
+    state: ActivityMode,
+    last_transfer_master: Option<ahbpower_ahb::MasterId>,
+}
+
+impl InstructionRecognizer {
+    /// Classifies `snap` and advances to its mode; returns the transition
+    /// from the previous mode.
+    pub(crate) fn step(&mut self, snap: &BusSnapshot) -> Instruction {
+        let mode = classify_mode(snap, self.last_transfer_master);
+        let instruction = Instruction::new(self.state, mode);
+        if snap.htrans.is_transfer() {
+            self.last_transfer_master = Some(snap.hmaster);
+        }
+        self.state = mode;
+        instruction
+    }
+
+    /// The current activity mode (IDLE before the first cycle).
+    pub(crate) fn state(&self) -> ActivityMode {
+        self.state
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,6 +4,7 @@ use std::fmt;
 
 use crate::instruction::{Instruction, INSTRUCTION_COUNT};
 use crate::macromodel::BlockEnergy;
+use crate::replay::{WordFields, MASTER_MASK};
 
 /// Formats an energy in joules with an auto-scaled unit (pJ/nJ/uJ/mJ).
 ///
@@ -70,14 +71,6 @@ impl InstructionLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
         InstructionLedger::default()
-    }
-
-    /// Reconstitutes a ledger from raw per-instruction `counts` and
-    /// `energy` arrays (indexed by [`Instruction::index`]). The replay
-    /// engine accumulates into plain arrays in its hot loop and builds the
-    /// ledger once at the end, preserving the exact accumulated bits.
-    pub fn from_parts(counts: [u64; INSTRUCTION_COUNT], energy: [f64; INSTRUCTION_COUNT]) -> Self {
-        InstructionLedger { counts, energy }
     }
 
     /// Records one execution of `instruction` costing `joules`.
@@ -172,9 +165,6 @@ impl fmt::Display for InstructionLedger {
     }
 }
 
-/// Named sub-blocks in Fig. 6's order.
-pub const BLOCK_NAMES: [&str; 4] = ["M2S", "DEC", "ARB", "S2M"];
-
 /// Accumulates per-sub-block energy — the data behind Fig. 6.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BlockLedger {
@@ -186,13 +176,6 @@ impl BlockLedger {
     /// Creates an empty ledger.
     pub fn new() -> Self {
         BlockLedger::default()
-    }
-
-    /// Reconstitutes a ledger from accumulated `total` energies over
-    /// `cycles` cycles (the replay-engine counterpart of
-    /// [`InstructionLedger::from_parts`]).
-    pub fn from_parts(total: BlockEnergy, cycles: u64) -> Self {
-        BlockLedger { total, cycles }
     }
 
     /// Adds one cycle's block energies.
@@ -238,6 +221,63 @@ impl fmt::Display for BlockLedger {
             )?;
         }
         Ok(())
+    }
+}
+
+/// Per-master slots: one for every value of the activity word's 8-bit
+/// master field.
+const MASTER_SLOTS: usize = MASTER_MASK as usize + 1;
+
+/// The ledgers one stream of activity words books into: per instruction
+/// (Table 1), per sub-block (Fig. 6) and per bus owner. The live
+/// [`PowerFsm`](crate::PowerFsm) and a replay pass each keep one and book
+/// every cycle through [`PowerLedger::book`].
+#[derive(Debug, Clone)]
+pub(crate) struct PowerLedger {
+    instructions: InstructionLedger,
+    blocks: BlockLedger,
+    per_master: [f64; MASTER_SLOTS],
+    /// One past the highest bus owner booked so far.
+    masters: usize,
+}
+
+impl Default for PowerLedger {
+    fn default() -> Self {
+        PowerLedger {
+            instructions: InstructionLedger::new(),
+            blocks: BlockLedger::new(),
+            per_master: [0.0; MASTER_SLOTS],
+            masters: 0,
+        }
+    }
+}
+
+impl PowerLedger {
+    /// Books energy `e` of the cycle described by activity word `w` to its
+    /// instruction, to the blocks and to its bus owner.
+    #[inline(always)]
+    pub(crate) fn book(&mut self, w: u64, e: BlockEnergy) {
+        let f = WordFields::unpack(w);
+        let total = e.total();
+        self.instructions.counts[f.instruction] += 1;
+        self.instructions.energy[f.instruction] += total;
+        self.blocks.record(e);
+        self.per_master[f.master] += total;
+        self.masters = self.masters.max(f.master + 1);
+    }
+
+    pub(crate) fn instructions(&self) -> &InstructionLedger {
+        &self.instructions
+    }
+
+    pub(crate) fn blocks(&self) -> &BlockLedger {
+        &self.blocks
+    }
+
+    /// Energy per bus owner, joules (index = master id; one past the
+    /// highest owner booked, empty before the first cycle).
+    pub(crate) fn per_master_energy(&self) -> &[f64] {
+        &self.per_master[..self.masters]
     }
 }
 

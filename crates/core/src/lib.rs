@@ -96,7 +96,7 @@ pub use config::AnalysisConfig;
 pub use dpm::{ClockGatePolicy, DpmProbe, DpmReport};
 pub use estimate::{estimate_cycle_energy, estimate_power, TrafficStats};
 pub use instruction::{classify_mode, ActivityMode, Instruction, INSTRUCTION_COUNT};
-pub use ledger::{fmt_energy, BlockLedger, InstructionLedger, InstructionRow, BLOCK_NAMES};
+pub use ledger::{fmt_energy, BlockLedger, InstructionLedger, InstructionRow};
 pub use macromodel::{
     ceil_log2, fit_linear, ArbiterModel, BlockEnergy, DecoderModel, LinearFit, MuxModel, TechParams,
 };

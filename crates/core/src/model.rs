@@ -4,8 +4,9 @@
 
 use ahbpower_ahb::BusSnapshot;
 
-use crate::activity::hamming;
+use crate::instruction::Instruction;
 use crate::macromodel::{ArbiterModel, BlockEnergy, DecoderModel, MuxModel, TechParams};
+use crate::replay::{activity_word, WordFields};
 
 /// Bit width of the HADDR path through the M2S mux.
 pub const ADDR_BITS: u32 = 32;
@@ -133,37 +134,20 @@ impl AhbPowerModel {
 
     /// The energy the bus dissipated during `cur`, given the previous
     /// cycle's wires (all macromodels are driven by Hamming distances
-    /// between consecutive values, per the paper).
+    /// between consecutive values, per the paper). The macromodel functions
+    /// are evaluated directly on the cycle's activity-word fields; this is
+    /// the reference the lookup tables of the live and replay kernel are
+    /// tested against.
     pub fn cycle_energy(&self, prev: &BusSnapshot, cur: &BusSnapshot) -> BlockEnergy {
-        let handover = cur.hmaster != prev.hmaster;
-        let addr_hd = hamming(u64::from(prev.haddr), u64::from(cur.haddr));
-        let dec = self.decoder.energy(addr_hd);
-        let m2s_hd = addr_hd
-            + hamming(
-                u64::from(prev.control_bits()),
-                u64::from(cur.control_bits()),
-            )
-            + hamming(u64::from(prev.hwdata), u64::from(cur.hwdata));
-        let m2s = self.m2s.energy(m2s_hd, handover);
-        let s2m_hd = hamming(u64::from(prev.hrdata), u64::from(cur.hrdata))
-            + hamming(u64::from(resp_bits(prev)), u64::from(resp_bits(cur)));
-        let s2m_sel = cur.hsel_bits() != prev.hsel_bits();
-        let s2m = self.s2m.energy(s2m_hd, s2m_sel);
-        let hd_req = hamming(u64::from(busreq_bits(prev)), u64::from(busreq_bits(cur)));
-        let arb = self.arbiter.energy(hd_req, handover);
-        BlockEnergy { dec, m2s, s2m, arb }
+        // The instruction field does not enter the energy.
+        let f = WordFields::unpack(activity_word(Some(prev), cur, Instruction::from_index(0)));
+        BlockEnergy {
+            dec: self.decoder.energy(f.addr_hd as u32),
+            m2s: self.m2s.energy(f.m2s_hd as u32, f.handover == 1),
+            s2m: self.s2m.energy(f.s2m_hd as u32, f.s2m_sel == 1),
+            arb: self.arbiter.energy(f.req_hd as u32, f.handover == 1),
+        }
     }
-}
-
-/// Packs HRESP and HREADY into a small integer for Hamming distances.
-/// Crate-visible so the activity recorder observes the identical bundle.
-pub(crate) fn resp_bits(s: &BusSnapshot) -> u32 {
-    u32::from(s.hresp.bits()) | (u32::from(s.hready) << 2)
-}
-
-/// Packs HBUSREQx into an integer (already packed in the snapshot).
-fn busreq_bits(s: &BusSnapshot) -> u32 {
-    s.hbusreq
 }
 
 #[cfg(test)]

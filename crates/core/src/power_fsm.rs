@@ -2,16 +2,18 @@
 //!
 //! Fed one [`BusSnapshot`] per cycle, the FSM classifies the cycle's
 //! activity mode, forms the executed instruction (the transition from the
-//! previous mode), evaluates the sub-block macromodels on the observed
-//! Hamming distances, and books the energy to both the per-instruction
-//! ledger (Table 1) and the per-block ledger (Fig. 6).
+//! previous mode), packs the cycle's Hamming distances into an activity
+//! word, books the word's energy through the macromodels' lookup tables
+//! (the [`ReplayEngine`] kernel) and records it in the per-instruction
+//! ledger (Table 1), the per-block ledger (Fig. 6) and per master.
 
 use ahbpower_ahb::BusSnapshot;
 
-use crate::instruction::{classify_mode, ActivityMode, Instruction};
-use crate::ledger::{BlockLedger, InstructionLedger};
+use crate::instruction::{ActivityMode, Instruction, InstructionRecognizer};
+use crate::ledger::{BlockLedger, InstructionLedger, PowerLedger};
 use crate::macromodel::BlockEnergy;
 use crate::model::AhbPowerModel;
+use crate::replay::{activity_word, ReplayEngine};
 
 /// What one observed cycle contributed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,6 +22,9 @@ pub struct CycleRecord {
     pub instruction: Instruction,
     /// Energy booked to the cycle, split by sub-block.
     pub energy: BlockEnergy,
+    /// The cycle's packed activity word: everything the energy was
+    /// computed from, in the activity-trace format (see [`crate::replay`]).
+    pub word: u64,
 }
 
 /// The power FSM.
@@ -46,79 +51,63 @@ pub struct CycleRecord {
 #[derive(Debug, Clone)]
 pub struct PowerFsm {
     model: AhbPowerModel,
-    state: ActivityMode,
+    /// `model` compiled into lookup tables; rebuilt by `scale_block`.
+    engine: ReplayEngine,
+    recognizer: InstructionRecognizer,
     prev: Option<BusSnapshot>,
-    last_transfer_master: Option<ahbpower_ahb::MasterId>,
-    ledger: InstructionLedger,
-    blocks: BlockLedger,
-    /// Energy attributed to each master (by address-phase ownership).
-    per_master: Vec<f64>,
+    ledger: PowerLedger,
 }
 
 impl PowerFsm {
     /// Creates the FSM in the IDLE state.
     pub fn new(model: AhbPowerModel) -> Self {
         PowerFsm {
+            engine: ReplayEngine::new(&model),
             model,
-            state: ActivityMode::Idle,
+            recognizer: InstructionRecognizer::default(),
             prev: None,
-            last_transfer_master: None,
-            ledger: InstructionLedger::new(),
-            blocks: BlockLedger::new(),
-            per_master: Vec::new(),
+            ledger: PowerLedger::default(),
         }
     }
 
     /// Processes one cycle's wires.
     pub fn observe(&mut self, snap: &BusSnapshot) -> CycleRecord {
-        let energy = match &self.prev {
-            Some(p) => self.model.cycle_energy(p, snap),
-            None => BlockEnergy::default(),
-        };
-        let mode = classify_mode(snap, self.last_transfer_master);
-        let instruction = Instruction::new(self.state, mode);
-        self.ledger.record(instruction, energy.total());
-        self.blocks.record(energy);
-        let owner = snap.hmaster.index();
-        if self.per_master.len() <= owner {
-            self.per_master.resize(owner + 1, 0.0);
-        }
-        self.per_master[owner] += energy.total();
-        if snap.htrans.is_transfer() {
-            self.last_transfer_master = Some(snap.hmaster);
-        }
-        self.state = mode;
+        let instruction = self.recognizer.step(snap);
+        let word = activity_word(self.prev.as_ref(), snap, instruction);
+        let energy = self.engine.energy(word);
+        self.ledger.book(word, energy);
         self.prev = Some(*snap);
         CycleRecord {
             instruction,
             energy,
+            word,
         }
     }
 
     /// The FSM's current activity mode.
     pub fn state(&self) -> ActivityMode {
-        self.state
+        self.recognizer.state()
     }
 
     /// The per-instruction ledger (Table 1 data).
     pub fn ledger(&self) -> &InstructionLedger {
-        &self.ledger
+        self.ledger.instructions()
     }
 
     /// The per-block ledger (Fig. 6 data).
     pub fn blocks(&self) -> &BlockLedger {
-        &self.blocks
+        self.ledger.blocks()
     }
 
     /// Total booked energy, joules.
     pub fn total_energy(&self) -> f64 {
-        self.ledger.total_energy()
+        self.ledger.instructions().total_energy()
     }
 
     /// Energy attributed to each master by address-phase ownership, joules
     /// (index = master id; parked-idle energy lands on the parked owner).
     pub fn per_master_energy(&self) -> &[f64] {
-        &self.per_master
+        self.ledger.per_master_energy()
     }
 
     /// The macromodels in use.
@@ -131,18 +120,7 @@ impl PowerFsm {
     /// effect from the next observed cycle.
     pub fn scale_block(&mut self, block: crate::model::SubBlock, factor: f64) {
         self.model.scale_block(block, factor);
-    }
-
-    /// Per-instruction observation flags, indexed by
-    /// [`Instruction::index`](crate::Instruction::index): `true` where the
-    /// FSM has booked at least one occurrence. Static analyzers compare
-    /// this against the instruction-set spec's reachable transitions.
-    pub fn instruction_coverage(&self) -> [bool; crate::INSTRUCTION_COUNT] {
-        let mut seen = [false; crate::INSTRUCTION_COUNT];
-        for i in crate::Instruction::all() {
-            seen[i.index()] = self.ledger.count(i) > 0;
-        }
-        seen
+        self.engine = ReplayEngine::new(&self.model);
     }
 }
 

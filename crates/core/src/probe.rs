@@ -15,7 +15,7 @@
 use ahbpower_ahb::{BusSnapshot, MasterId};
 
 use crate::activity::SignalActivity;
-use crate::instruction::{classify_mode, ActivityMode, Instruction, INSTRUCTION_COUNT};
+use crate::instruction::{Instruction, InstructionRecognizer, INSTRUCTION_COUNT};
 use crate::ledger::InstructionLedger;
 use crate::model::AhbPowerModel;
 use crate::power_fsm::PowerFsm;
@@ -71,8 +71,7 @@ impl PowerProbe for InlineProbe {
 #[derive(Debug, Clone)]
 pub struct FsmProbe {
     table: [f64; INSTRUCTION_COUNT],
-    state: ActivityMode,
-    last_transfer_master: Option<MasterId>,
+    recognizer: InstructionRecognizer,
     ledger: InstructionLedger,
 }
 
@@ -82,8 +81,7 @@ impl FsmProbe {
     pub fn from_table(table: [f64; INSTRUCTION_COUNT]) -> Self {
         FsmProbe {
             table,
-            state: ActivityMode::Idle,
-            last_transfer_master: None,
+            recognizer: InstructionRecognizer::default(),
             ledger: InstructionLedger::new(),
         }
     }
@@ -109,13 +107,8 @@ impl FsmProbe {
 
 impl PowerProbe for FsmProbe {
     fn observe(&mut self, snap: &BusSnapshot) {
-        let mode = classify_mode(snap, self.last_transfer_master);
-        let instr = Instruction::new(self.state, mode);
+        let instr = self.recognizer.step(snap);
         self.ledger.record(instr, self.table[instr.index()]);
-        if snap.htrans.is_transfer() {
-            self.last_transfer_master = Some(snap.hmaster);
-        }
-        self.state = mode;
     }
 
     fn total_energy(&self) -> f64 {

@@ -1,24 +1,20 @@
-//! The replay kernel: a branchless, table-driven re-estimator.
+//! The energy kernel: branchless and table-driven, shared by the live
+//! power FSM and replay.
 //!
 //! [`ReplayEngine::new`] flattens an [`AhbPowerModel`] into per-sub-block
 //! energy lookup tables indexed by Hamming distance (plus the select /
-//! handover flag), built by calling the very energy functions the live
-//! path calls — so table entries carry the exact `f64` bits the simulator
-//! would have produced. The hot loop then books each recorded cycle with
-//! four table loads and a handful of multiply-adds: no branches, no
-//! allocation, no wall-clock reads.
+//! handover flag), filled by calling the model's energy functions — so
+//! table entries carry the exact `f64` bits
+//! [`AhbPowerModel::cycle_energy`] computes. Every cycle, live or
+//! replayed, is then booked with four table loads and a handful of adds:
+//! no branches, no allocation, no wall-clock reads.
 
-use crate::instruction::INSTRUCTION_COUNT;
-use crate::ledger::{BlockLedger, InstructionLedger};
+use crate::ledger::{BlockLedger, InstructionLedger, PowerLedger};
 use crate::macromodel::BlockEnergy;
 use crate::model::AhbPowerModel;
 use crate::trace::{PowerTrace, TracePoint};
 
-use super::{
-    ActivityTrace, ADDR_HD_MASK, ADDR_HD_SHIFT, FIRST_BIT, HANDOVER_BIT, INSTR_MASK, M2S_REST_MASK,
-    M2S_REST_SHIFT, MASTER_MASK, MASTER_SHIFT, REQ_HD_MASK, REQ_HD_SHIFT, S2M_HD_MASK,
-    S2M_HD_SHIFT, S2M_SEL_BIT,
-};
+use super::{ActivityTrace, WordFields, ADDR_HD_MASK, M2S_REST_MASK, REQ_HD_MASK, S2M_HD_MASK};
 
 // Table strides cover every value the packed fields can carry (the fields
 // are masked to these ranges), so lookups can never go out of bounds.
@@ -27,10 +23,6 @@ const M2S_STRIDE: usize = (ADDR_HD_MASK as usize) + (M2S_REST_MASK as usize) + 1
 const S2M_STRIDE: usize = (S2M_HD_MASK as usize) + 1; // 64
 const ARB_STRIDE: usize = (REQ_HD_MASK as usize) + 1; // 64
 
-/// Masters the per-master accumulator can address (the packed master field
-/// is 8 bits wide).
-const MASTER_SLOTS: usize = (MASTER_MASK as usize) + 1;
-
 /// Replays recorded activity traces through one [`AhbPowerModel`] variant.
 ///
 /// Construction is cheap (a few hundred energy-function calls); reuse one
@@ -38,22 +30,25 @@ const MASTER_SLOTS: usize = (MASTER_MASK as usize) + 1;
 /// end-to-end example.
 #[derive(Debug, Clone)]
 pub struct ReplayEngine {
-    dec: [f64; DEC_LEN],
-    m2s: [f64; 2 * M2S_STRIDE],
-    s2m: [f64; 2 * S2M_STRIDE],
-    arb: [f64; 2 * ARB_STRIDE],
+    // Tables are `rows × stride`, indexed by `row * stride + hd`. Rows 0
+    // and 1 are the select/handover flag (the decoder has no flag: row 0);
+    // a first cycle, which books nothing, reads the all-zero rows above.
+    dec: [f64; 2 * DEC_LEN],
+    m2s: [f64; 4 * M2S_STRIDE],
+    s2m: [f64; 4 * S2M_STRIDE],
+    arb: [f64; 4 * ARB_STRIDE],
 }
 
 impl ReplayEngine {
     /// Builds the lookup tables for `model`.
     pub fn new(model: &AhbPowerModel) -> Self {
-        let mut dec = [0.0; DEC_LEN];
-        for (hd, slot) in dec.iter_mut().enumerate() {
+        let mut dec = [0.0; 2 * DEC_LEN];
+        for (hd, slot) in dec[..DEC_LEN].iter_mut().enumerate() {
             *slot = model.decoder.energy(hd as u32);
         }
-        let mut m2s = [0.0; 2 * M2S_STRIDE];
-        let mut s2m = [0.0; 2 * S2M_STRIDE];
-        let mut arb = [0.0; 2 * ARB_STRIDE];
+        let mut m2s = [0.0; 4 * M2S_STRIDE];
+        let mut s2m = [0.0; 4 * S2M_STRIDE];
+        let mut arb = [0.0; 4 * ARB_STRIDE];
         for flag in 0..2usize {
             let sel = flag == 1;
             for hd in 0..M2S_STRIDE {
@@ -67,6 +62,24 @@ impl ReplayEngine {
             }
         }
         ReplayEngine { dec, m2s, s2m, arb }
+    }
+
+    /// The energy one activity word books: four table loads, no branches;
+    /// exactly +0.0 in every block on a first cycle. The live
+    /// [`PowerFsm`](crate::PowerFsm) and the replay loop both book every
+    /// cycle through this function.
+    #[inline(always)]
+    pub(crate) fn energy(&self, w: u64) -> BlockEnergy {
+        let f = WordFields::unpack(w);
+        let first = usize::from(f.first);
+        let ho = f.handover | first << 1;
+        let sel = f.s2m_sel | first << 1;
+        BlockEnergy {
+            dec: self.dec[first * DEC_LEN + f.addr_hd],
+            m2s: self.m2s[ho * M2S_STRIDE + f.m2s_hd],
+            s2m: self.s2m[sel * S2M_STRIDE + f.s2m_hd],
+            arb: self.arb[ho * ARB_STRIDE + f.req_hd],
+        }
     }
 
     /// Replays `trace` at full fidelity (ledgers, per-master attribution
@@ -83,54 +96,24 @@ impl ReplayEngine {
     /// most N times total (outcome construction), not per cycle.
     pub fn replay_into(&self, trace: &ActivityTrace, out: &mut ReplayOutcome) {
         out.reset(trace);
-        if out.trace.is_some() {
-            self.kernel::<true>(trace, out);
-        } else {
-            self.kernel::<false>(trace, out);
+        let ledger = &mut out.ledger;
+        match &mut out.trace {
+            Some(t) => {
+                self.book_all(&trace.words, ledger, |e| t.push(e));
+                t.finish();
+            }
+            None => self.book_all(&trace.words, ledger, |_| {}),
         }
     }
 
-    fn kernel<const WINDOWS: bool>(&self, trace: &ActivityTrace, out: &mut ReplayOutcome) {
-        for &w in trace.words() {
-            let instr = (w & INSTR_MASK) as usize;
-            let master = ((w >> MASTER_SHIFT) & MASTER_MASK) as usize;
-            let ho = ((w >> HANDOVER_BIT) & 1) as usize;
-            let sel = ((w >> S2M_SEL_BIT) & 1) as usize;
-            // 1.0 for every cycle with a predecessor; 0.0 for the first
-            // cycle, zeroing its energy exactly as the live path does
-            // (1.0 * x == x and 0.0 * x == +0.0 for the non-negative
-            // finite table entries, so bits are preserved either way).
-            let live = ((w >> FIRST_BIT) & 1) as u32 as f64;
-            let live = 1.0 - live;
-            let addr_hd = ((w >> ADDR_HD_SHIFT) & ADDR_HD_MASK) as usize;
-            let m2s_rest = ((w >> M2S_REST_SHIFT) & M2S_REST_MASK) as usize;
-            let s2m_hd = ((w >> S2M_HD_SHIFT) & S2M_HD_MASK) as usize;
-            let req_hd = ((w >> REQ_HD_SHIFT) & REQ_HD_MASK) as usize;
-            let dec = live * self.dec[addr_hd];
-            let m2s = live * self.m2s[ho * M2S_STRIDE + addr_hd + m2s_rest];
-            let s2m = live * self.s2m[sel * S2M_STRIDE + s2m_hd];
-            let arb = live * self.arb[ho * ARB_STRIDE + req_hd];
-            // Left-associated like BlockEnergy::total(): ((dec+m2s)+s2m)+arb.
-            let total = dec + m2s + s2m + arb;
-            out.counts[instr] += 1;
-            out.energy[instr] += total;
-            out.totals.dec += dec;
-            out.totals.m2s += m2s;
-            out.totals.s2m += s2m;
-            out.totals.arb += arb;
-            out.per_master[master] += total;
-            out.max_master = out.max_master.max(master);
-            if WINDOWS {
-                if let Some(t) = &mut out.trace {
-                    t.push(BlockEnergy { dec, m2s, s2m, arb });
-                }
-            }
-        }
-        out.cycles = trace.cycles();
-        if WINDOWS {
-            if let Some(t) = &mut out.trace {
-                t.finish();
-            }
+    /// The replay loop. It is a function of its own so the ledger arrives
+    /// as a unique reference: the compiler then keeps the running totals
+    /// in registers instead of storing them every cycle.
+    fn book_all(&self, words: &[u64], ledger: &mut PowerLedger, mut push: impl FnMut(BlockEnergy)) {
+        for &w in words {
+            let e = self.energy(w);
+            ledger.book(w, e);
+            push(e);
         }
     }
 }
@@ -140,13 +123,8 @@ impl ReplayEngine {
 /// recording.
 #[derive(Debug, Clone)]
 pub struct ReplayOutcome {
-    counts: [u64; INSTRUCTION_COUNT],
-    energy: [f64; INSTRUCTION_COUNT],
-    totals: BlockEnergy,
-    cycles: u64,
-    per_master: [f64; MASTER_SLOTS],
-    max_master: usize,
-    windows: bool,
+    ledger: PowerLedger,
+    /// `(window_cycles, f_clk_hz bits)` the windowed trace was built for.
     trace_params: (u64, u64),
     trace: Option<PowerTrace>,
 }
@@ -157,13 +135,7 @@ impl ReplayOutcome {
     /// series.
     pub fn new() -> Self {
         ReplayOutcome {
-            counts: [0; INSTRUCTION_COUNT],
-            energy: [0.0; INSTRUCTION_COUNT],
-            totals: BlockEnergy::default(),
-            cycles: 0,
-            per_master: [0.0; MASTER_SLOTS],
-            max_master: 0,
-            windows: false,
+            ledger: PowerLedger::default(),
             trace_params: (0, 0),
             trace: None,
         }
@@ -172,63 +144,52 @@ impl ReplayOutcome {
     /// An outcome that additionally rebuilds the windowed power trace
     /// (Figs. 3-5), matching the live session point for point.
     pub fn with_windows() -> Self {
-        let mut out = ReplayOutcome::new();
-        out.windows = true;
-        out
+        ReplayOutcome {
+            trace: Some(PowerTrace::new(1, 1.0)),
+            ..ReplayOutcome::new()
+        }
     }
 
     fn reset(&mut self, trace: &ActivityTrace) {
-        self.counts = [0; INSTRUCTION_COUNT];
-        self.energy = [0.0; INSTRUCTION_COUNT];
-        self.totals = BlockEnergy::default();
-        self.cycles = 0;
-        self.per_master = [0.0; MASTER_SLOTS];
-        self.max_master = 0;
-        if self.windows {
+        self.ledger = PowerLedger::default();
+        if let Some(t) = &mut self.trace {
             let params = (trace.window_cycles, trace.f_clk_hz.to_bits());
-            match &mut self.trace {
-                Some(t) if self.trace_params == params => t.reset(),
-                _ => {
-                    self.trace = Some(PowerTrace::new(trace.window_cycles, trace.f_clk_hz));
-                    self.trace_params = params;
-                }
+            if self.trace_params == params {
+                t.reset();
+            } else {
+                *t = PowerTrace::new(trace.window_cycles, trace.f_clk_hz);
+                self.trace_params = params;
             }
-        } else {
-            self.trace = None;
         }
     }
 
     /// Per-instruction ledger (Table 1), bit-identical to the live run for
     /// a same-model replay.
-    pub fn ledger(&self) -> InstructionLedger {
-        InstructionLedger::from_parts(self.counts, self.energy)
+    pub fn ledger(&self) -> &InstructionLedger {
+        self.ledger.instructions()
     }
 
     /// Per-block ledger (Fig. 6).
-    pub fn blocks(&self) -> BlockLedger {
-        BlockLedger::from_parts(self.totals, self.cycles)
+    pub fn blocks(&self) -> &BlockLedger {
+        self.ledger.blocks()
     }
 
     /// Total energy, joules (same accumulation order as
     /// [`InstructionLedger::total_energy`]).
     pub fn total_energy(&self) -> f64 {
-        self.energy.iter().sum()
+        self.ledger.instructions().total_energy()
     }
 
     /// Replayed cycles.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.ledger.blocks().cycles()
     }
 
     /// Per-master energy attribution, joules; the slice length matches the
     /// live session's (one past the highest observed owner), empty when
     /// nothing was replayed.
     pub fn per_master_energy(&self) -> &[f64] {
-        if self.cycles == 0 {
-            &[]
-        } else {
-            &self.per_master[..=self.max_master]
-        }
+        self.ledger.per_master_energy()
     }
 
     /// Windowed power points; empty unless the outcome was created
@@ -388,7 +349,7 @@ mod tests {
     #[test]
     fn default_outcome_is_fast_mode() {
         let out = ReplayOutcome::default();
-        assert!(!out.windows);
+        assert!(out.trace.is_none());
         assert_eq!(out.total_energy(), 0.0);
     }
 

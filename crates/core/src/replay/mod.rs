@@ -3,20 +3,24 @@
 //! Every macromodel evaluation normally re-runs the cycle-accurate bus
 //! simulation, so a design-space sweep costs `O(points × sim)`. This module
 //! decouples the two phases the way hardware-accelerated power emulation
-//! does: an [`ActivityRecorder`] taps a live [`PowerSession`](crate::PowerSession)
-//! and captures one compact **activity trace** per workload — the
-//! per-cycle instruction, bus owner and per-sub-block Hamming distances,
-//! packed into one `u64` word per cycle and delta/varint encoded on disk —
-//! and a [`ReplayEngine`] then re-estimates energy for
-//! any [`AhbPowerModel`](crate::AhbPowerModel) variant by running a
+//! does. The power path already reduces every cycle to one packed `u64`
+//! **activity word** — the recognized instruction, the bus owner and the
+//! per-sub-block Hamming distances (`activity_word` is the one place that
+//! computes them) — and books its energy through a [`ReplayEngine`]'s
+//! lookup tables. An [`ActivityRecorder`] (or a
+//! [`PowerSession`](crate::PowerSession) built
+//! [`with_recorder`](crate::PowerSession::with_recorder)) keeps those words
+//! as a compact **activity trace**, delta/varint encoded on disk, and a
+//! [`ReplayEngine`] then re-estimates energy for
+//! any [`AhbPowerModel`](crate::AhbPowerModel) variant by running the same
 //! branchless table-driven kernel over the recording, without touching the
 //! simulator again. Sweeps become `O(sim + points × replay)` where replay
 //! is orders of magnitude cheaper than simulation.
 //!
 //! Replaying a trace through the *same* model that recorded it reproduces
-//! the live session's ledgers **bit for bit**: the engine's lookup tables
-//! are built by calling the very macromodel energy functions the live path
-//! calls, and the kernel accumulates in the same order.
+//! the live session's ledgers **bit for bit** by construction: the live
+//! [`PowerFsm`](crate::PowerFsm) and the replay loop feed the same words
+//! through the same kernel into the same ledger type, in the same order.
 //!
 //! # Examples
 //!
@@ -57,7 +61,6 @@ use ahbpower_ahb::BusSnapshot;
 use crate::activity::hamming;
 use crate::config::AnalysisConfig;
 use crate::instruction::Instruction;
-use crate::model::resp_bits;
 
 pub use engine::{ReplayEngine, ReplayOutcome};
 
@@ -74,21 +77,92 @@ const HEADER_LEN: usize = 8 + 4 + 4 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8;
 // so the paper's 32-bit bus can never overflow them: addr HD <= 32, control
 // HD <= 9 + write-data HD <= 32 (rest <= 41), read-data + response HD <= 35,
 // request HD <= 32. Bits 40..64 are reserved and must be zero.
-pub(crate) const INSTR_MASK: u64 = 0xF; // bits 0..4
-pub(crate) const MASTER_SHIFT: u32 = 4; // bits 4..12
+const INSTR_MASK: u64 = 0xF; // bits 0..4
+const MASTER_SHIFT: u32 = 4; // bits 4..12
 pub(crate) const MASTER_MASK: u64 = 0xFF;
-pub(crate) const HANDOVER_BIT: u32 = 12;
-pub(crate) const S2M_SEL_BIT: u32 = 13;
-pub(crate) const FIRST_BIT: u32 = 14;
-pub(crate) const ADDR_HD_SHIFT: u32 = 15; // bits 15..21
+const HANDOVER_BIT: u32 = 12;
+const S2M_SEL_BIT: u32 = 13;
+const FIRST_BIT: u32 = 14;
+const ADDR_HD_SHIFT: u32 = 15; // bits 15..21
 pub(crate) const ADDR_HD_MASK: u64 = 0x3F;
-pub(crate) const M2S_REST_SHIFT: u32 = 21; // bits 21..28
+const M2S_REST_SHIFT: u32 = 21; // bits 21..28
 pub(crate) const M2S_REST_MASK: u64 = 0x7F;
-pub(crate) const S2M_HD_SHIFT: u32 = 28; // bits 28..34
+const S2M_HD_SHIFT: u32 = 28; // bits 28..34
 pub(crate) const S2M_HD_MASK: u64 = 0x3F;
-pub(crate) const REQ_HD_SHIFT: u32 = 34; // bits 34..40
+const REQ_HD_SHIFT: u32 = 34; // bits 34..40
 pub(crate) const REQ_HD_MASK: u64 = 0x3F;
 const RESERVED_SHIFT: u32 = 40;
+
+/// Packs one cycle's macromodel inputs into an activity word: the
+/// recognized `instruction`, the bus owner, and the Hamming distances and
+/// select changes of `cur` relative to `prev`. `prev` is `None` on the
+/// first cycle, which has no predecessor; the word flags it so every
+/// kernel books it as exactly zero energy.
+///
+/// This is the only place the power path turns bus wires into switching
+/// activity: the live FSM, the recorder and the reference model all call it.
+pub(crate) fn activity_word(
+    prev: Option<&BusSnapshot>,
+    cur: &BusSnapshot,
+    instruction: Instruction,
+) -> u64 {
+    let w = instruction.index() as u64 | (u64::from(cur.hmaster.0) & MASTER_MASK) << MASTER_SHIFT;
+    let Some(p) = prev else {
+        return w | 1 << FIRST_BIT;
+    };
+    // HRESP and HREADY travel as one 3-bit response bundle.
+    let resp = |s: &BusSnapshot| u32::from(s.hresp.bits()) | u32::from(s.hready) << 2;
+    let hd = |a: u32, b: u32| u64::from(hamming(u64::from(a), u64::from(b)));
+    let addr_hd = hd(p.haddr, cur.haddr);
+    let m2s_rest = hd(p.control_bits(), cur.control_bits()) + hd(p.hwdata, cur.hwdata);
+    let s2m_hd = hd(p.hrdata, cur.hrdata) + hd(resp(p), resp(cur));
+    let req_hd = hd(p.hbusreq, cur.hbusreq);
+    w | u64::from(cur.hmaster != p.hmaster) << HANDOVER_BIT
+        | u64::from(cur.hsel_bits() != p.hsel_bits()) << S2M_SEL_BIT
+        | addr_hd << ADDR_HD_SHIFT
+        | m2s_rest << M2S_REST_SHIFT
+        | s2m_hd << S2M_HD_SHIFT
+        | req_hd << REQ_HD_SHIFT
+}
+
+/// The fields of one activity word, unpacked as table indices: the
+/// instruction index, the bus owner, the handover and S2M-select flags
+/// (0/1), the first-cycle flag, and the Hamming distances the decoder
+/// (address), M2S mux (address, control and write data), S2M mux (read
+/// data and response) and arbiter (bus requests) consume.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WordFields {
+    pub instruction: usize,
+    pub master: usize,
+    pub handover: usize,
+    pub s2m_sel: usize,
+    pub first: bool,
+    pub addr_hd: usize,
+    pub m2s_hd: usize,
+    pub s2m_hd: usize,
+    pub req_hd: usize,
+}
+
+impl WordFields {
+    /// Unpacks `w`. Every field is masked to its width, so the indices stay
+    /// inside the replay tables for any word, corrupt or not.
+    #[inline(always)]
+    pub(crate) fn unpack(w: u64) -> Self {
+        let field = |shift: u32, mask: u64| ((w >> shift) & mask) as usize;
+        let addr_hd = field(ADDR_HD_SHIFT, ADDR_HD_MASK);
+        WordFields {
+            instruction: field(0, INSTR_MASK),
+            master: field(MASTER_SHIFT, MASTER_MASK),
+            handover: field(HANDOVER_BIT, 1),
+            s2m_sel: field(S2M_SEL_BIT, 1),
+            first: field(FIRST_BIT, 1) == 1,
+            addr_hd,
+            m2s_hd: addr_hd + field(M2S_REST_SHIFT, M2S_REST_MASK),
+            s2m_hd: field(S2M_HD_SHIFT, S2M_HD_MASK),
+            req_hd: field(REQ_HD_SHIFT, REQ_HD_MASK),
+        }
+    }
+}
 
 /// Why an activity trace could not be decoded. Corrupt input is always a
 /// clean error, never a panic.
@@ -164,12 +238,6 @@ impl ActivityTrace {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
-    }
-
-    /// The packed per-cycle activity words (opaque; layout is stable only
-    /// within [`REPLAY_TRACE_VERSION`]).
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
     }
 
     pub(crate) fn push_word(&mut self, w: u64) {
@@ -283,14 +351,11 @@ impl ActivityTrace {
     }
 }
 
-/// Captures one activity word per observed cycle — the tap a
-/// [`PowerSession`](crate::PowerSession) drives when built
-/// [`with_recorder`](crate::PowerSession::with_recorder).
-///
-/// The recorder keeps its own previous-snapshot copy and recomputes exactly
-/// the Hamming distances
-/// [`AhbPowerModel::cycle_energy`](crate::AhbPowerModel::cycle_energy)
-/// consumes, so a replay sees the same model inputs the live path saw.
+/// Captures one activity word per observed cycle from a stream of bus
+/// snapshots and the instructions the power FSM recognized for them.
+/// [`PowerSession::with_recorder`](crate::PowerSession::with_recorder)
+/// instead keeps the words its FSM already built; both paths call the same
+/// packing function, so they write byte-identical traces.
 #[derive(Debug, Clone)]
 pub struct ActivityRecorder {
     prev: Option<BusSnapshot>,
@@ -309,36 +374,9 @@ impl ActivityRecorder {
     /// Records one observed cycle: the recognized `instruction` plus the
     /// wire activity of `snap` relative to the previous cycle.
     pub fn record(&mut self, snap: &BusSnapshot, instruction: Instruction) {
-        let mut w = instruction.index() as u64;
-        w |= (u64::from(snap.hmaster.0) & MASTER_MASK) << MASTER_SHIFT;
-        match &self.prev {
-            None => {
-                // First cycle: no predecessor, so the live path books zero
-                // energy; the flag makes the replay kernel do the same.
-                w |= 1 << FIRST_BIT;
-            }
-            Some(p) => {
-                let addr_hd = hamming(u64::from(p.haddr), u64::from(snap.haddr));
-                let m2s_rest = hamming(u64::from(p.control_bits()), u64::from(snap.control_bits()))
-                    + hamming(u64::from(p.hwdata), u64::from(snap.hwdata));
-                let s2m_hd = hamming(u64::from(p.hrdata), u64::from(snap.hrdata))
-                    + hamming(u64::from(resp_bits(p)), u64::from(resp_bits(snap)));
-                let req_hd = hamming(u64::from(p.hbusreq), u64::from(snap.hbusreq));
-                w |= u64::from(snap.hmaster != p.hmaster) << HANDOVER_BIT;
-                w |= u64::from(snap.hsel_bits() != p.hsel_bits()) << S2M_SEL_BIT;
-                w |= u64::from(addr_hd) << ADDR_HD_SHIFT;
-                w |= u64::from(m2s_rest) << M2S_REST_SHIFT;
-                w |= u64::from(s2m_hd) << S2M_HD_SHIFT;
-                w |= u64::from(req_hd) << REQ_HD_SHIFT;
-            }
-        }
-        self.trace.push_word(w);
+        self.trace
+            .push_word(activity_word(self.prev.as_ref(), snap, instruction));
         self.prev = Some(*snap);
-    }
-
-    /// Cycles recorded so far.
-    pub fn cycles(&self) -> u64 {
-        self.trace.cycles()
     }
 
     /// Consumes the recorder and returns the finished trace.
@@ -382,7 +420,7 @@ mod tests {
         let mut r = ActivityRecorder::new(&AnalysisConfig::paper_testbench());
         r.record(&snap(0, 1), instr());
         let t = r.finish();
-        let w = t.words()[0];
+        let w = t.words[0];
         assert_eq!(w & (1 << FIRST_BIT), 1 << FIRST_BIT);
         assert_eq!(w & INSTR_MASK, instr().index() as u64);
         assert_eq!((w >> MASTER_SHIFT) & MASTER_MASK, 1);
@@ -395,11 +433,44 @@ mod tests {
         r.record(&snap(0, 0), instr());
         r.record(&snap(0xFF, 1), instr());
         let t = r.finish();
-        let w = t.words()[1];
+        let w = t.words[1];
         assert_eq!((w >> ADDR_HD_SHIFT) & ADDR_HD_MASK, 8);
         assert_eq!(w & (1 << HANDOVER_BIT), 1 << HANDOVER_BIT);
         assert_eq!(w & (1 << FIRST_BIT), 0);
         assert_eq!((w >> REQ_HD_SHIFT) & REQ_HD_MASK, 0);
+    }
+
+    #[test]
+    fn fields_hold_the_widest_bus_activity() {
+        let low = BusSnapshot {
+            htrans: HTrans::Idle,
+            hwrite: false,
+            hsize: HSize::Half,
+            hresp: HResp::Okay,
+            hready: false,
+            ..snap(0, 0)
+        };
+        let high = BusSnapshot {
+            haddr: u32::MAX,
+            htrans: HTrans::Seq,
+            hwrite: true,
+            hsize: HSize::Word,
+            hburst: HBurst::Incr16,
+            hwdata: u32::MAX,
+            hrdata: u32::MAX,
+            hready: true,
+            hresp: HResp::Split,
+            hmaster: MasterId(255),
+            hbusreq: u32::MAX,
+            hsel: u32::MAX,
+            ..low
+        };
+        let w = activity_word(Some(&low), &high, instr());
+        assert_eq!(w >> RESERVED_SHIFT, 0);
+        let f = WordFields::unpack(w);
+        assert_eq!((f.addr_hd, f.m2s_hd, f.s2m_hd, f.req_hd), (32, 72, 35, 32));
+        assert_eq!((f.master, f.handover, f.s2m_sel), (255, 1, 1));
+        assert!(!f.first);
     }
 
     #[test]

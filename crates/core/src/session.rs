@@ -6,7 +6,7 @@ use crate::config::AnalysisConfig;
 use crate::ledger::{BlockLedger, InstructionLedger};
 use crate::model::AhbPowerModel;
 use crate::power_fsm::PowerFsm;
-use crate::replay::{ActivityRecorder, ActivityTrace};
+use crate::replay::ActivityTrace;
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::trace::{PowerTrace, TracePoint};
 use crate::txn::{TxnTracer, TxnTracerConfig};
@@ -42,8 +42,9 @@ pub struct PowerSession {
     /// same hot-path discipline as `telemetry`.
     txn: Option<Box<TxnTracer>>,
     /// `None` unless activity recording was enabled at construction;
-    /// same hot-path discipline as `telemetry`.
-    recorder: Option<Box<ActivityRecorder>>,
+    /// same hot-path discipline as `telemetry`. Collects the activity word
+    /// the FSM built for every observed cycle.
+    recorder: Option<Box<ActivityTrace>>,
 }
 
 impl PowerSession {
@@ -90,7 +91,7 @@ impl PowerSession {
     /// Collect the recording with [`PowerSession::finish_recorder`].
     pub fn with_recorder(cfg: &AnalysisConfig) -> Self {
         let mut session = PowerSession::new(cfg);
-        session.recorder = Some(Box::new(ActivityRecorder::new(cfg)));
+        session.recorder = Some(Box::new(ActivityTrace::new(cfg)));
         session
     }
 
@@ -100,10 +101,9 @@ impl PowerSession {
     /// session's booked total so replays can self-check fidelity.
     pub fn finish_recorder(&mut self) -> Option<ActivityTrace> {
         let total = self.fsm.total_energy();
-        self.recorder.take().map(|r| {
-            let mut trace = r.finish();
+        self.recorder.take().map(|mut trace| {
             trace.live_total_j = total;
-            trace
+            *trace
         })
     }
 
@@ -125,7 +125,7 @@ impl PowerSession {
             x.observe(snap, &rec);
         }
         if let Some(r) = &mut self.recorder {
-            r.record(snap, rec.instruction);
+            r.push_word(rec.word);
         }
         if let Some(t) = &mut self.telemetry {
             t.observe_bus(snap);
@@ -420,6 +420,27 @@ mod tests {
             session.finish_recorder().is_none(),
             "recorder can only be collected once"
         );
+    }
+
+    #[test]
+    fn session_and_standalone_recorder_write_identical_traces() {
+        let cfg = two_by_two();
+        let mut session = PowerSession::with_recorder(&cfg);
+        session.run(&mut busy_bus(), 700);
+        let pushed = session.finish_recorder().expect("recorder attached");
+
+        let model = AhbPowerModel::new(cfg.n_masters, cfg.n_slaves, &cfg.tech());
+        let mut fsm = PowerFsm::new(model);
+        let mut recorder = crate::ActivityRecorder::new(&cfg);
+        let mut b = busy_bus();
+        for _ in 0..700 {
+            let snap = b.step();
+            let rec = fsm.observe(snap);
+            recorder.record(snap, rec.instruction);
+        }
+        let mut rebuilt = recorder.finish();
+        rebuilt.live_total_j = fsm.total_energy();
+        assert_eq!(pushed.to_bytes(), rebuilt.to_bytes());
     }
 
     #[test]

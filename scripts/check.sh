@@ -9,6 +9,12 @@ cargo fmt --all -- --check
 echo "== build =="
 cargo build --workspace --all-targets
 
+echo "== benchmark build =="
+# perfbench is a package of its own that builds against the workspace
+# crates by path: a core API change that breaks it, or a dependency change
+# that would rewrite perfbench/Cargo.lock, fails here.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

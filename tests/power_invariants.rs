@@ -1,8 +1,8 @@
 //! Property-based invariants of the power-analysis layer.
 
 use ahbpower::{
-    hamming, AhbPowerModel, AnalysisConfig, BlockEnergy, GlobalProbe, InlineProbe, PowerProbe,
-    PowerSession, PowerTrace, TechParams,
+    hamming, AhbPowerModel, AnalysisConfig, BlockEnergy, GlobalProbe, InlineProbe, PowerFsm,
+    PowerProbe, PowerSession, PowerTrace, SubBlock, TechParams,
 };
 use ahbpower_ahb::{pack_wires, BusSnapshot, HBurst, HResp, HSize, HTrans, MasterId};
 use proptest::prelude::*;
@@ -45,6 +45,78 @@ fn arb_snapshot() -> impl Strategy<Value = BusSnapshot> {
                 }
             },
         )
+}
+
+const TRANS: [HTrans; 4] = [HTrans::Idle, HTrans::Busy, HTrans::NonSeq, HTrans::Seq];
+const SIZES: [HSize; 3] = [HSize::Byte, HSize::Half, HSize::Word];
+const BURSTS: [HBurst; 8] = [
+    HBurst::Single,
+    HBurst::Incr,
+    HBurst::Wrap4,
+    HBurst::Incr4,
+    HBurst::Wrap8,
+    HBurst::Incr8,
+    HBurst::Wrap16,
+    HBurst::Incr16,
+];
+const RESPS: [HResp; 4] = [HResp::Okay, HResp::Error, HResp::Retry, HResp::Split];
+
+/// Every wire over its full range: any address, data, request and select
+/// word, every control and response encoding, any bus owner.
+fn arb_wires() -> impl Strategy<Value = BusSnapshot> {
+    (
+        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        (0usize..4, any::<bool>(), 0usize..3, 0usize..8),
+        (0usize..4, any::<bool>(), any::<u8>(), any::<u32>()),
+    )
+        .prop_map(
+            |(
+                (haddr, hwdata, hrdata, hbusreq),
+                (trans, hwrite, size, burst),
+                (resp, hready, master, hsel),
+            )| BusSnapshot {
+                cycle: 0,
+                haddr,
+                htrans: TRANS[trans],
+                hwrite,
+                hsize: SIZES[size],
+                hburst: BURSTS[burst],
+                hwdata,
+                hrdata,
+                hready,
+                hresp: RESPS[resp],
+                hmaster: MasterId(master),
+                hmastlock: false,
+                hbusreq,
+                hgrant: 0,
+                hsel,
+            },
+        )
+}
+
+/// All-low (`high == false`) or all-high wires: between the two, every
+/// activity field reaches its maximum (address HD 32, M2S HD 72 — HSIZE
+/// has three encodings, so control HD peaks at 8 — S2M HD 35, request
+/// HD 32) and both select flags are set.
+fn extreme(high: bool) -> BusSnapshot {
+    let word = if high { u32::MAX } else { 0 };
+    BusSnapshot {
+        cycle: 0,
+        haddr: word,
+        htrans: if high { HTrans::Seq } else { HTrans::Idle },
+        hwrite: high,
+        hsize: if high { HSize::Word } else { HSize::Half },
+        hburst: if high { HBurst::Incr16 } else { HBurst::Single },
+        hwdata: word,
+        hrdata: word,
+        hready: high,
+        hresp: if high { HResp::Split } else { HResp::Okay },
+        hmaster: MasterId(u8::from(high)),
+        hmastlock: false,
+        hbusreq: word,
+        hgrant: 0,
+        hsel: word,
+    }
 }
 
 proptest! {
@@ -142,6 +214,46 @@ proptest! {
             (total_in - total_out).abs() <= 1e-9 * total_in.max(1e-18),
             "{total_in} vs {total_out}"
         );
+    }
+
+    #[test]
+    fn live_kernel_matches_reference_energy_bit_for_bit(
+        steps in prop::collection::vec((arb_wires(), 0u8..4), 1..40),
+        scale_at in 0usize..40,
+        block in 0usize..4,
+        factor in 0.25f64..4.0,
+    ) {
+        // Each step is fresh wires, a repeat of the previous cycle, or one
+        // of the two extremes; the stream always ends low -> high.
+        let mut stream: Vec<BusSnapshot> = Vec::new();
+        for (fresh, how) in steps {
+            let cur = match (stream.last(), how) {
+                (Some(&prev), 1) => prev,
+                (_, 2) => extreme(false),
+                (_, 3) => extreme(true),
+                _ => fresh,
+            };
+            stream.push(cur);
+        }
+        stream.extend([extreme(false), extreme(true)]);
+        let mut reference = AhbPowerModel::new(3, 3, &TechParams::default());
+        let mut fsm = PowerFsm::new(reference.clone());
+        for (k, cur) in stream.iter().enumerate() {
+            if k == scale_at {
+                // The FSM must rebuild its tables mid-stream.
+                fsm.scale_block(SubBlock::ALL[block], factor);
+                reference.scale_block(SubBlock::ALL[block], factor);
+            }
+            let got = fsm.observe(cur).energy;
+            // Cycle 0 has no predecessor and books exactly +0.0.
+            let want = match k {
+                0 => BlockEnergy::default(),
+                _ => reference.cycle_energy(&stream[k - 1], cur),
+            };
+            for (g, w) in [(got.dec, want.dec), (got.m2s, want.m2s), (got.s2m, want.s2m), (got.arb, want.arb)] {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "cycle {}: {:?} vs {:?}", k, got, want);
+            }
+        }
     }
 
     #[test]

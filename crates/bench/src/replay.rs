@@ -6,7 +6,7 @@
 
 use ahbpower::{
     ActivityTrace, AhbPowerModel, AnalysisConfig, PowerSession, ReplayEngine, ReplayOutcome,
-    SubBlock,
+    SubBlock, REPLAY_LANES,
 };
 use ahbpower_workloads::PaperTestbench;
 
@@ -66,20 +66,25 @@ pub fn replay_variant_model(cfg: &AnalysisConfig, k: usize) -> AhbPowerModel {
     model
 }
 
-/// Replays one recorded trace under every model, fanned out over `jobs`
-/// worker threads. Outcomes come back in model order and are
-/// bit-identical for any job count: each replay owns its engine and
-/// outcome, and the LUT kernel is deterministic.
+/// Replays one recorded trace under every model: chunks of
+/// [`REPLAY_LANES`] models, one lane-batched pass each, fanned out over
+/// `jobs` worker threads. Outcomes come back in model order and are
+/// bit-identical for any job count: the chunks do not depend on `jobs`,
+/// each pass owns its tables and ledgers, and every lane equals a
+/// one-model replay bit for bit.
 pub fn replay_sweep(
     trace: &ActivityTrace,
     models: &[AhbPowerModel],
     jobs: usize,
 ) -> Vec<ReplayOutcome> {
-    SweepRunner::new(jobs).run(models, |_, m| {
-        let mut out = ReplayOutcome::new();
-        ReplayEngine::new(m).replay_into(trace, &mut out);
-        out
-    })
+    let chunks: Vec<&[AhbPowerModel]> = models.chunks(REPLAY_LANES).collect();
+    SweepRunner::new(jobs)
+        .run(&chunks, |_, chunk| {
+            ReplayEngine::replay_variants(chunk, trace)
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Re-simulates the paper testbench cycle-accurately under replay
@@ -136,21 +141,41 @@ mod tests {
 
     #[test]
     fn replay_sweep_is_bit_identical_across_job_counts() {
+        // 17 models: two full lane chunks and a partial one.
         let (run, trace) = run_paper_experiment_recorded(2_000, 7);
-        let models: Vec<AhbPowerModel> = (0..6)
+        let models: Vec<AhbPowerModel> = (0..17)
             .map(|k| replay_variant_model(&run.config, k))
             .collect();
-        let serial = replay_sweep(&trace, &models, 1);
-        let parallel = replay_sweep(&trace, &models, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.total_energy().to_bits(), p.total_energy().to_bits());
+        let bits = |outcomes: &[ReplayOutcome]| -> Vec<(u64, [u64; 4], Vec<u64>)> {
+            outcomes
+                .iter()
+                .map(|o| {
+                    let b = o.blocks().totals();
+                    (
+                        o.total_energy().to_bits(),
+                        [b.dec, b.m2s, b.s2m, b.arb].map(f64::to_bits),
+                        o.per_master_energy().iter().map(|e| e.to_bits()).collect(),
+                    )
+                })
+                .collect()
+        };
+        let one_model: Vec<ReplayOutcome> = models
+            .iter()
+            .map(|m| {
+                let mut out = ReplayOutcome::new();
+                ReplayEngine::new(m).replay_into(&trace, &mut out);
+                out
+            })
+            .collect();
+        for jobs in 1..=4 {
+            let swept = replay_sweep(&trace, &models, jobs);
+            assert_eq!(bits(&swept), bits(&one_model), "jobs {jobs}");
         }
         // Non-identity variants genuinely diverge from the golden one.
-        for (k, o) in serial.iter().enumerate().skip(1) {
+        for (k, o) in one_model.iter().enumerate().skip(1) {
             assert_ne!(
                 o.total_energy().to_bits(),
-                serial[0].total_energy().to_bits(),
+                one_model[0].total_energy().to_bits(),
                 "variant {k} left the energy unchanged"
             );
         }

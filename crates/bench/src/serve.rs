@@ -496,7 +496,7 @@ impl LiveState {
         }
         let g = reg.gauge(
             "serve_replay_cycles_per_second",
-            "Replay throughput from the startup record/replay self-calibration.",
+            "Variant-cycles per second of the startup self-calibration's lane-batched 4-variant replay sweep.",
             &[],
         );
         reg.set(g, self.replay_cycles_per_sec);
@@ -1043,8 +1043,9 @@ struct ReplayCalibration {
 }
 
 /// Records a short paper-testbench trace, replays the first few
-/// coefficient variants of the deterministic grid, and measures replay
-/// throughput. Publishes `ReplayStart`/`ReplayDone` on `events` (the
+/// coefficient variants of the deterministic grid through
+/// [`crate::replay_sweep`] (one lane-batched pass), and measures its
+/// throughput in variant-cycles per second. Publishes `ReplayStart`/`ReplayDone` on `events` (the
 /// trace id in `txn` is the workload seed).
 fn replay_calibration(seed: u64, events: &Arc<EventBus>) -> ReplayCalibration {
     const CALIB_CYCLES: u64 = 20_000;
@@ -1387,8 +1388,18 @@ fn run_pool_worker(plane: &Arc<Plane>) {
 fn handle_connection(stream: &mut TcpStream, plane: &Arc<Plane>) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let Some(path) = read_request_path(stream) else {
-        return;
+    let path = match read_request_path(stream) {
+        Some(Ok(path)) => path,
+        Some(Err(status)) => {
+            let body = match status {
+                405 => "method not allowed: the server only answers GET\n",
+                _ => "request line longer than 1024 bytes\n",
+            };
+            let _ = write_response(stream, status, "text/plain; charset=utf-8", body);
+            linger_close(stream);
+            return;
+        }
+        None => return,
     };
     let quit = path == "/quit" || path.starts_with("/quit?");
     let (status, content_type, body) = route(&path, plane);
@@ -1401,29 +1412,53 @@ fn handle_connection(stream: &mut TcpStream, plane: &Arc<Plane>) {
     }
 }
 
-/// Parses the request line (`GET /path HTTP/1.1`) of one connection.
-fn read_request_path(stream: &mut TcpStream) -> Option<String> {
+/// Parses the request line (`GET /path HTTP/1.1`) of one connection:
+/// the path of a `GET`, `Err(405)` for any other method, `Err(414)` for a
+/// line longer than the read buffer; `None` when the client sent nothing
+/// parseable (or nothing at all) and gets no answer.
+fn read_request_path(stream: &mut TcpStream) -> Option<Result<String, u16>> {
     let mut buf = [0u8; 1024];
     let mut filled = 0usize;
-    loop {
+    let line_end = loop {
         let n = stream.read(&mut buf[filled..]).ok()?;
         if n == 0 {
-            break;
+            break None;
         }
         filled += n;
-        if buf[..filled].windows(2).any(|w| w == b"\r\n") || filled == buf.len() {
-            break;
+        if let Some(end) = buf[..filled].windows(2).position(|w| w == b"\r\n") {
+            break Some(end);
         }
-    }
-    let text = core::str::from_utf8(&buf[..filled]).ok()?;
-    let line = text.lines().next()?;
+        if filled == buf.len() {
+            return Some(Err(414));
+        }
+    };
+    let line = core::str::from_utf8(&buf[..line_end.unwrap_or(filled)]).ok()?;
     let mut parts = line.split_whitespace();
     let method = parts.next()?;
     let path = parts.next()?;
     if method != "GET" {
-        return None;
+        return Some(Err(405));
     }
-    Some(path.to_string())
+    Some(Ok(path.to_string()))
+}
+
+/// Closes a connection answered before its request was read in full:
+/// stops writing, then discards what the client still sends for at most
+/// 250 ms, so the close does not reset the connection and drop the
+/// response before the client reads it.
+fn linger_close(stream: &mut TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + Duration::from_millis(250);
+    let mut sink = [0u8; 4096];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// Reads `key=value` from a query string; `None` on absent or
@@ -1749,7 +1784,7 @@ fn merged_registry(plane: &Plane) -> MetricsRegistry {
         .fold(0.0f64, f64::max);
     let g = agg.gauge(
         "serve_replay_cycles_per_second",
-        "Replay throughput from the startup record/replay self-calibration.",
+        "Variant-cycles per second of the startup self-calibration's lane-batched 4-variant replay sweep.",
         &[],
     );
     agg.set(g, replay);
@@ -2159,11 +2194,14 @@ fn write_response(
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        405 => "Method Not Allowed",
+        414 => "URI Too Long",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
+    let allow = if status == 405 { "Allow: GET\r\n" } else { "" };
     let head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.1 {status} {reason}\r\n{allow}Content-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     stream.write_all(head.as_bytes())?;

@@ -12,8 +12,9 @@
 //!    remaining amortized allocation site);
 //! 3. on the full paper testbench the allocation count does not scale with
 //!    the cycle count (bounded bookkeeping, not per-cycle garbage);
-//! 4. later phases pin the event ring, the replay loop, the observatory
-//!    and the telemetered session observer (sampled span included).
+//! 4. later phases pin the event ring, the replay loop, the lane-batched
+//!    replay sweep, the observatory and the telemetered session observer
+//!    (sampled span included).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,6 +197,36 @@ fn hot_path_does_not_allocate_per_cycle() {
         out.total_energy().to_bits(),
         run.session.total_energy().to_bits(),
         "the allocation-free replay still reproduces the live total"
+    );
+
+    // --- 5b. Lane-batched sweep: allocations per chunk, not per cycle. ---
+    // `replay_sweep` allocates during set-up only: a count fixed by the
+    // number of models, equal on a 4x longer trace.
+    use ahbpower::REPLAY_LANES;
+    use ahbpower_bench::replay_sweep;
+    let models: Vec<AhbPowerModel> = (0..17)
+        .map(|k| replay_variant_model(&run.config, k))
+        .collect();
+    let chunks = models.len().div_ceil(REPLAY_LANES) as u64;
+    let sweep_allocs = |trace: &ahbpower::ActivityTrace| {
+        let before = allocations();
+        let outcomes = replay_sweep(trace, &models, 1);
+        let n = allocations() - before;
+        assert_eq!(outcomes.len(), models.len());
+        n
+    };
+    let (_, long_activity) = run_paper_experiment_recorded(40_000, 2003);
+    let short = sweep_allocs(&activity);
+    let long = sweep_allocs(&long_activity);
+    assert_eq!(
+        short, long,
+        "the lane sweep's allocations must not grow with trace length"
+    );
+    // Two per chunk (tables, outcome list); the rest is the chunk list and
+    // the merged result growing to 17 entries.
+    assert!(
+        short <= 2 * chunks + 8,
+        "the lane sweep allocated {short} times for {chunks} chunks"
     );
 
     // --- 6. Observatory ingest: zero allocations in steady state. ---------

@@ -648,6 +648,58 @@ fn panic_in_slice_dumps_post_mortem_and_server_survives() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sends `request` as raw bytes and returns the whole response text.
+fn raw_request(addr: &str, request: &[u8]) -> String {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    stream.write_all(request).expect("send request");
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).expect("read response");
+    raw
+}
+
+#[test]
+fn non_get_and_oversize_requests_get_a_status() {
+    let handle = serve(test_config()).expect("bind ephemeral port");
+    let addr = handle.addr().to_string();
+
+    // A POST, even to /quit, is refused with 405 and leaves the server up.
+    let post = raw_request(
+        &addr,
+        b"POST /quit HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello",
+    );
+    assert!(
+        post.starts_with("HTTP/1.1 405 Method Not Allowed\r\n"),
+        "POST answered {post:?}"
+    );
+    assert!(
+        post.contains("\r\nAllow: GET\r\n"),
+        "405 names the allowed method"
+    );
+
+    // A 2 KB path overflows the 1024-byte request-line buffer: 414, not a
+    // route of the truncated path.
+    let long = format!(
+        "GET /status?pad={} HTTP/1.1\r\nHost: x\r\n\r\n",
+        "a".repeat(2048)
+    );
+    let resp = raw_request(&addr, long.as_bytes());
+    assert!(
+        resp.starts_with("HTTP/1.1 414 URI Too Long\r\n"),
+        "2 KB path answered {:?}",
+        &resp[..resp.len().min(80)]
+    );
+
+    let health = http_get(&addr, "/healthz", TIMEOUT).expect("healthz after bad requests");
+    assert_eq!(health.status, 200);
+    let quit = http_get(&addr, "/quit", TIMEOUT).expect("quit");
+    assert_eq!(quit.status, 200);
+    handle.wait().expect("clean shutdown");
+}
+
 #[test]
 fn injection_spec_parses() {
     let inj = Injection::parse("arb:2.0@3").expect("full spec");

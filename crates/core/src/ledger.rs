@@ -4,7 +4,7 @@ use std::fmt;
 
 use crate::instruction::{Instruction, INSTRUCTION_COUNT};
 use crate::macromodel::BlockEnergy;
-use crate::replay::{WordFields, MASTER_MASK};
+use crate::replay::{WordFields, MASTER_MASK, REPLAY_LANES};
 
 /// Formats an energy in joules with an auto-scaled unit (pJ/nJ/uJ/mJ).
 ///
@@ -278,6 +278,78 @@ impl PowerLedger {
     /// highest owner booked, empty before the first cycle).
     pub(crate) fn per_master_energy(&self) -> &[f64] {
         &self.per_master[..self.masters]
+    }
+}
+
+/// [`REPLAY_LANES`] [`PowerLedger`]s booked side by side from one stream
+/// of activity words, one lane per model variant. Counts, cycles and bus
+/// owners depend only on the word, so they are booked once for every
+/// lane; each energy accumulator holds one `f64` per lane, and every lane
+/// takes exactly the steps [`PowerLedger::book`] takes: the same sum, the
+/// same `+=`s, in cycle order. Lanes never read each other.
+#[derive(Debug, Clone)]
+pub(crate) struct LaneLedger {
+    counts: [u64; INSTRUCTION_COUNT],
+    energy: [[f64; REPLAY_LANES]; INSTRUCTION_COUNT],
+    /// Block totals in [`BlockEnergy`] field order: dec, m2s, s2m, arb.
+    blocks: [[f64; REPLAY_LANES]; 4],
+    cycles: u64,
+    per_master: [[f64; REPLAY_LANES]; MASTER_SLOTS],
+    masters: usize,
+}
+
+impl Default for LaneLedger {
+    fn default() -> Self {
+        LaneLedger {
+            counts: [0; INSTRUCTION_COUNT],
+            energy: [[0.0; REPLAY_LANES]; INSTRUCTION_COUNT],
+            blocks: [[0.0; REPLAY_LANES]; 4],
+            cycles: 0,
+            per_master: [[0.0; REPLAY_LANES]; MASTER_SLOTS],
+            masters: 0,
+        }
+    }
+}
+
+impl LaneLedger {
+    /// Books word `w`, whose block energies are `e` (dec, m2s, s2m, arb;
+    /// one entry per lane).
+    #[inline(always)]
+    pub(crate) fn book(&mut self, w: u64, e: [&[f64; REPLAY_LANES]; 4]) {
+        let f = WordFields::unpack(w);
+        self.counts[f.instruction] += 1;
+        self.cycles += 1;
+        self.masters = self.masters.max(f.master + 1);
+        let [dec, m2s, s2m, arb] = e;
+        let energy = &mut self.energy[f.instruction];
+        let per_master = &mut self.per_master[f.master];
+        for l in 0..REPLAY_LANES {
+            // `BlockEnergy::total`'s sum, then `PowerLedger::book`'s adds.
+            let total = dec[l] + m2s[l] + s2m[l] + arb[l];
+            energy[l] += total;
+            self.blocks[0][l] += dec[l];
+            self.blocks[1][l] += m2s[l];
+            self.blocks[2][l] += s2m[l];
+            self.blocks[3][l] += arb[l];
+            per_master[l] += total;
+        }
+    }
+
+    /// Lane `l` as the ledger a one-model pass books.
+    pub(crate) fn lane(&self, l: usize) -> PowerLedger {
+        let [dec, m2s, s2m, arb] = self.blocks.map(|b| b[l]);
+        PowerLedger {
+            instructions: InstructionLedger {
+                counts: self.counts,
+                energy: self.energy.map(|e| e[l]),
+            },
+            blocks: BlockLedger {
+                total: BlockEnergy { dec, m2s, s2m, arb },
+                cycles: self.cycles,
+            },
+            per_master: self.per_master.map(|m| m[l]),
+            masters: self.masters,
+        }
     }
 }
 

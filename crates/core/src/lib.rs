@@ -104,7 +104,8 @@ pub use model::{AhbPowerModel, SubBlock, ADDR_BITS, CTRL_BITS, RDATA_BITS, RESP_
 pub use power_fsm::{CycleRecord, PowerFsm};
 pub use probe::{FsmProbe, GlobalProbe, InlineProbe, PowerProbe};
 pub use replay::{
-    ActivityRecorder, ActivityTrace, ReplayEngine, ReplayOutcome, TraceError, REPLAY_TRACE_VERSION,
+    ActivityRecorder, ActivityTrace, ReplayEngine, ReplayOutcome, TraceError, REPLAY_LANES,
+    REPLAY_TRACE_VERSION,
 };
 pub use sc::{run_on_kernel, run_on_kernel_profiled, KernelRun};
 pub use session::PowerSession;

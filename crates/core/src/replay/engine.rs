@@ -8,8 +8,16 @@
 //! [`AhbPowerModel::cycle_energy`] computes. Every cycle, live or
 //! replayed, is then booked with four table loads and a handful of adds:
 //! no branches, no allocation, no wall-clock reads.
+//!
+//! [`ReplayEngine::replay_variants`] replays one trace under up to
+//! [`REPLAY_LANES`] models in lanes: the variants' tables interleaved per
+//! entry (`[f64; REPLAY_LANES]`), so each word is unpacked once and its
+//! four table rows book every lane. Each lane performs the one-model kernel's `f64`
+//! operations in the one-model order (Rust never contracts them into
+//! fused multiply-adds) and no lane reads another, so every lane's
+//! outcome is bit-identical to a one-model [`ReplayEngine::replay_into`].
 
-use crate::ledger::{BlockLedger, InstructionLedger, PowerLedger};
+use crate::ledger::{BlockLedger, InstructionLedger, LaneLedger, PowerLedger};
 use crate::macromodel::BlockEnergy;
 use crate::model::AhbPowerModel;
 use crate::trace::{PowerTrace, TracePoint};
@@ -22,6 +30,31 @@ const DEC_LEN: usize = (ADDR_HD_MASK as usize) + 1; // 64
 const M2S_STRIDE: usize = (ADDR_HD_MASK as usize) + (M2S_REST_MASK as usize) + 1; // 191
 const S2M_STRIDE: usize = (S2M_HD_MASK as usize) + 1; // 64
 const ARB_STRIDE: usize = (REQ_HD_MASK as usize) + 1; // 64
+
+/// Model variants [`ReplayEngine::replay_variants`] books per pass over a
+/// trace. Decoding plus sweeping 17 models over a 200k-cycle paper trace
+/// on one job (2-vCPU Xeon, p90 ns per cycle and variant) took 9.5-10.0
+/// one model per pass, 5.0-5.1 at 4 lanes, 4.2-4.5 at 8 and 3.9-4.1 at
+/// 16. Sixteen lanes are not worth their ~7%: a 16-variant sweep would be
+/// one chunk, which no second job can share.
+pub const REPLAY_LANES: usize = 8;
+
+/// The table indices word `w` books (decoder, M2S, S2M, arbiter): the
+/// HD column in the select/handover row, or in an all-zero row on a
+/// first cycle.
+#[inline(always)]
+fn slots(w: u64) -> [usize; 4] {
+    let f = WordFields::unpack(w);
+    let first = usize::from(f.first);
+    let ho = f.handover | first << 1;
+    let sel = f.s2m_sel | first << 1;
+    [
+        first * DEC_LEN + f.addr_hd,
+        ho * M2S_STRIDE + f.m2s_hd,
+        sel * S2M_STRIDE + f.s2m_hd,
+        ho * ARB_STRIDE + f.req_hd,
+    ]
+}
 
 /// Replays recorded activity traces through one [`AhbPowerModel`] variant.
 ///
@@ -70,15 +103,12 @@ impl ReplayEngine {
     /// cycle through this function.
     #[inline(always)]
     pub(crate) fn energy(&self, w: u64) -> BlockEnergy {
-        let f = WordFields::unpack(w);
-        let first = usize::from(f.first);
-        let ho = f.handover | first << 1;
-        let sel = f.s2m_sel | first << 1;
+        let [dec, m2s, s2m, arb] = slots(w);
         BlockEnergy {
-            dec: self.dec[first * DEC_LEN + f.addr_hd],
-            m2s: self.m2s[ho * M2S_STRIDE + f.m2s_hd],
-            s2m: self.s2m[sel * S2M_STRIDE + f.s2m_hd],
-            arb: self.arb[ho * ARB_STRIDE + f.req_hd],
+            dec: self.dec[dec],
+            m2s: self.m2s[m2s],
+            s2m: self.s2m[s2m],
+            arb: self.arb[arb],
         }
     }
 
@@ -114,6 +144,102 @@ impl ReplayEngine {
             let e = self.energy(w);
             ledger.book(w, e);
             push(e);
+        }
+    }
+
+    /// Replays `trace` under at most [`REPLAY_LANES`] models in one pass,
+    /// one outcome per model in model order, each bit-identical to
+    /// `ReplayEngine::new(model).replay_into(trace, &mut ReplayOutcome::new())`
+    /// (ledgers and per-master energy; no windowed power points). A single
+    /// model takes exactly that path; more share one lane-batched pass.
+    /// Tables, ledgers and outcomes are allocated per call, never per
+    /// cycle. Callers with more models split them into chunks of
+    /// [`REPLAY_LANES`].
+    ///
+    /// # Panics
+    ///
+    /// If `models` holds more than [`REPLAY_LANES`] models.
+    pub fn replay_variants(models: &[AhbPowerModel], trace: &ActivityTrace) -> Vec<ReplayOutcome> {
+        assert!(
+            models.len() <= REPLAY_LANES,
+            "{} models in one lane pass, at most {REPLAY_LANES}",
+            models.len()
+        );
+        match models {
+            [] => Vec::new(),
+            [model] => {
+                let mut out = ReplayOutcome::new();
+                ReplayEngine::new(model).replay_into(trace, &mut out);
+                vec![out]
+            }
+            _ => LaneEngine::new(models).replay(trace),
+        }
+    }
+}
+
+/// Up to [`REPLAY_LANES`] variants' tables interleaved per entry:
+/// `dec[i][l]` is lane `l`'s `ReplayEngine::dec[i]`. Lanes past the last
+/// model stay zero and are dropped.
+struct LaneEngine {
+    models: usize,
+    dec: [[f64; REPLAY_LANES]; 2 * DEC_LEN],
+    m2s: [[f64; REPLAY_LANES]; 4 * M2S_STRIDE],
+    s2m: [[f64; REPLAY_LANES]; 4 * S2M_STRIDE],
+    arb: [[f64; REPLAY_LANES]; 4 * ARB_STRIDE],
+}
+
+impl LaneEngine {
+    /// Interleaves the tables `ReplayEngine::new` builds for each of at
+    /// most [`REPLAY_LANES`] models.
+    fn new(models: &[AhbPowerModel]) -> Box<Self> {
+        let mut lanes = Box::new(LaneEngine {
+            models: models.len(),
+            dec: [[0.0; REPLAY_LANES]; 2 * DEC_LEN],
+            m2s: [[0.0; REPLAY_LANES]; 4 * M2S_STRIDE],
+            s2m: [[0.0; REPLAY_LANES]; 4 * S2M_STRIDE],
+            arb: [[0.0; REPLAY_LANES]; 4 * ARB_STRIDE],
+        });
+        fn interleave(dst: &mut [[f64; REPLAY_LANES]], src: &[f64], l: usize) {
+            for (entry, &v) in dst.iter_mut().zip(src) {
+                entry[l] = v;
+            }
+        }
+        for (l, model) in models.iter().enumerate() {
+            let e = ReplayEngine::new(model);
+            interleave(&mut lanes.dec, &e.dec, l);
+            interleave(&mut lanes.m2s, &e.m2s, l);
+            interleave(&mut lanes.s2m, &e.s2m, l);
+            interleave(&mut lanes.arb, &e.arb, l);
+        }
+        lanes
+    }
+
+    /// Books every lane over `trace`; one outcome per model.
+    fn replay(&self, trace: &ActivityTrace) -> Vec<ReplayOutcome> {
+        let mut ledger = LaneLedger::default();
+        self.book_all(&trace.words, &mut ledger);
+        (0..self.models)
+            .map(|l| ReplayOutcome {
+                ledger: ledger.lane(l),
+                ..ReplayOutcome::new()
+            })
+            .collect()
+    }
+
+    /// The lane loop; a function of its own for the same reason as
+    /// [`ReplayEngine::book_all`].
+    fn book_all(&self, words: &[u64], ledger: &mut LaneLedger) {
+        for &w in words {
+            let [dec, m2s, s2m, arb] = slots(w);
+            ledger.book(
+                w,
+                [
+                    &self.dec[dec],
+                    &self.m2s[m2s],
+                    &self.s2m[s2m],
+                    &self.arb[arb],
+                ],
+            );
         }
     }
 }
@@ -211,9 +337,14 @@ mod tests {
     use crate::config::AnalysisConfig;
     use crate::instruction::{ActivityMode, Instruction};
     use crate::macromodel::TechParams;
+    use crate::model::SubBlock;
     use crate::power_fsm::PowerFsm;
-    use crate::replay::ActivityRecorder;
+    use crate::replay::{
+        ActivityRecorder, ADDR_HD_SHIFT, FIRST_BIT, M2S_REST_SHIFT, REQ_HD_SHIFT, RESERVED_SHIFT,
+        S2M_HD_SHIFT,
+    };
     use ahbpower_ahb::{BusSnapshot, HBurst, HResp, HSize, HTrans, MasterId};
+    use proptest::prelude::*;
 
     fn snap(i: u32) -> BusSnapshot {
         BusSnapshot {
@@ -351,6 +482,115 @@ mod tests {
         let out = ReplayOutcome::default();
         assert!(out.trace.is_none());
         assert_eq!(out.total_energy(), 0.0);
+    }
+
+    /// Field bits of an activity word (everything below the reserved bits).
+    const FIELD_BITS: u64 = (1 << RESERVED_SHIFT) - 1;
+    /// Every Hamming-distance field at its widest value.
+    const WIDEST_HD: u64 = ADDR_HD_MASK << ADDR_HD_SHIFT
+        | M2S_REST_MASK << M2S_REST_SHIFT
+        | S2M_HD_MASK << S2M_HD_SHIFT
+        | REQ_HD_MASK << REQ_HD_SHIFT;
+    const FIRST: u64 = 1 << FIRST_BIT;
+
+    /// One generated word: `raw`'s field bits, then by `kind` a first
+    /// cycle (0), the widest HD fields (1) or left as drawn.
+    fn word(raw: u64, kind: u8) -> u64 {
+        let w = raw & FIELD_BITS & !FIRST;
+        match kind {
+            0 => w | FIRST,
+            1 => w | WIDEST_HD,
+            _ => w,
+        }
+    }
+
+    /// Asserts `got` equals `want` bit for bit in every ledger field.
+    fn assert_same_outcome(got: &ReplayOutcome, want: &ReplayOutcome, what: &str) {
+        for i in Instruction::all() {
+            assert_eq!(
+                got.ledger().count(i),
+                want.ledger().count(i),
+                "{what}: {i} count"
+            );
+            assert_eq!(
+                got.ledger().energy(i).to_bits(),
+                want.ledger().energy(i).to_bits(),
+                "{what}: {i} energy"
+            );
+        }
+        let (g, w) = (got.blocks().totals(), want.blocks().totals());
+        for (name, a, b) in [
+            ("dec", g.dec, w.dec),
+            ("m2s", g.m2s, w.m2s),
+            ("s2m", g.s2m, w.s2m),
+            ("arb", g.arb, w.arb),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: {name} total");
+        }
+        let bits = |o: &ReplayOutcome| -> Vec<u64> {
+            o.per_master_energy().iter().map(|e| e.to_bits()).collect()
+        };
+        assert_eq!(bits(got), bits(want), "{what}: per-master energy");
+        assert_eq!(got.cycles(), want.cycles(), "{what}: cycles");
+        assert_eq!(
+            got.total_energy().to_bits(),
+            want.total_energy().to_bits(),
+            "{what}: total"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn lanes_match_one_model_replay_bit_for_bit(
+            cycles in prop::collection::vec((any::<u64>(), 0u8..8), 0..300),
+            scales in prop::collection::vec(
+                (0usize..4, 0.05f64..8.0, 0usize..4, 0.05f64..8.0),
+                REPLAY_LANES,
+            ),
+        ) {
+            let cfg = AnalysisConfig::paper_testbench();
+            let mut trace = ActivityTrace::new(&cfg);
+            for &(raw, kind) in &cycles {
+                trace.push_word(word(raw, kind));
+            }
+            let base = AhbPowerModel::new(cfg.n_masters, cfg.n_slaves, &cfg.tech());
+            let models: Vec<AhbPowerModel> = scales
+                .iter()
+                .map(|&(b1, f1, b2, f2)| {
+                    let mut m = base.clone();
+                    m.scale_block(SubBlock::ALL[b1], f1);
+                    m.scale_block(SubBlock::ALL[b2], f2);
+                    m
+                })
+                .collect();
+            let want: Vec<ReplayOutcome> = models
+                .iter()
+                .map(|m| {
+                    let mut out = ReplayOutcome::new();
+                    ReplayEngine::new(m).replay_into(&trace, &mut out);
+                    out
+                })
+                .collect();
+            // Every chunk size: one model (the one-model path), partial
+            // lane passes and a full one.
+            for n in 1..=REPLAY_LANES {
+                let lanes = ReplayEngine::replay_variants(&models[..n], &trace);
+                prop_assert_eq!(lanes.len(), n);
+                for (k, (got, want)) in lanes.iter().zip(&want).enumerate() {
+                    assert_same_outcome(got, want, &format!("{n} models, lane {k}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn replay_variants_rejects_more_models_than_lanes() {
+        let cfg = AnalysisConfig::paper_testbench();
+        let model = AhbPowerModel::new(cfg.n_masters, cfg.n_slaves, &cfg.tech());
+        let models = vec![model; REPLAY_LANES + 1];
+        ReplayEngine::replay_variants(&models, &ActivityTrace::new(&cfg));
     }
 
     #[test]

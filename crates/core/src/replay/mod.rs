@@ -62,7 +62,7 @@ use crate::activity::hamming;
 use crate::config::AnalysisConfig;
 use crate::instruction::Instruction;
 
-pub use engine::{ReplayEngine, ReplayOutcome};
+pub use engine::{ReplayEngine, ReplayOutcome, REPLAY_LANES};
 
 /// Current activity-trace file format version.
 pub const REPLAY_TRACE_VERSION: u32 = 1;

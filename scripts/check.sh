@@ -192,11 +192,13 @@ echo "== power-emulation replay (smoke, 50k cycles) =="
 # `record` writes the activity trace and self-checks that an identity
 # replay reproduces the live ledger bit for bit; `replay` re-reads it,
 # sweeps model variants and enforces the 1e-9 golden tolerance. Both
-# exit 1 on any fidelity miss.
+# exit 1 on any fidelity miss. 17 variants fill two lane chunks and leave
+# a partial one, and `replay` checks every variant against its one-model
+# replay bit for bit.
 cargo run --release -p ahbpower-bench --bin repro -- record --cycles 50000 \
     --out results/replay_smoke.bin > /dev/null
 cargo run --release -p ahbpower-bench --bin repro -- replay \
-    --file results/replay_smoke.bin --variants 8 --jobs 2 \
+    --file results/replay_smoke.bin --variants 17 --jobs 2 \
     --out results/replay_smoke.jsonl > /dev/null
 # Negative direction 1: a perturbed model must be *detected* as drifting
 # from the recorded golden total (--expect-mismatch inverts the exit code).

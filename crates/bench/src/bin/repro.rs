@@ -367,7 +367,6 @@ fn main() {
                     .unwrap_or_else(|| usage("serve-probe needs --addr host:port")),
                 quit,
                 flightrec.as_deref(),
-                shards,
             );
         }
         "loadgen" => {
@@ -535,146 +534,143 @@ fn serve_cmd(
     }
 }
 
+/// One endpoint `serve-probe` walks: its path, whether it answers JSON
+/// (JSON answers are validated and walked once per `?shard=K` too), a
+/// body check, and what a failed check means.
+type Probe = (&'static str, bool, fn(&str) -> bool, &'static str);
+const PROBES: [Probe; 6] = [
+    (
+        "/healthz",
+        true,
+        |b| b.contains("\"status\":\"ok\""),
+        "no \"status\":\"ok\"",
+    ),
+    (
+        "/metrics",
+        false,
+        |b| b.contains("# TYPE"),
+        "no Prometheus content",
+    ),
+    (
+        "/status",
+        true,
+        |b| b.contains("\"shards\":"),
+        "no shard count",
+    ),
+    (
+        "/",
+        false,
+        |b| b.contains("<canvas") && b.contains("/events"),
+        "no dashboard page",
+    ),
+    // A live worker publishes a TxnComplete well within the 5 s
+    // long-poll (a 20k-cycle slice takes milliseconds).
+    (
+        "/events?since=0&max=4096&timeout_ms=5000",
+        true,
+        |b| b.contains("\"enabled\":false") || b.contains("\"event\":\"TxnComplete\""),
+        "an enabled ring served no TxnComplete within the poll window",
+    ),
+    // step=10 answers from the 10x level (or an empty placeholder
+    // before the first slice).
+    (
+        "/query?series=energy&step=10",
+        true,
+        |b| b.contains("\"series\":\"energy\""),
+        "no energy series",
+    ),
+];
+
+/// Fetches one probe path and checks it answers 200, valid JSON (for a
+/// JSON endpoint) and the body check. Returns the body, or `None` after
+/// reporting the failure to stderr.
+fn probe_get(
+    addr: &str,
+    path: &str,
+    (_, json, check, missing): Probe,
+    timeout: std::time::Duration,
+) -> Option<String> {
+    let body = match ahbpower_bench::http_get(addr, path, timeout) {
+        Ok(r) if r.status == 200 => r.body,
+        Ok(r) => {
+            eprintln!("{path}: status {} body {:.120}", r.status, r.body);
+            return None;
+        }
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            return None;
+        }
+    };
+    if json {
+        if let Err(e) = validate_json(&body) {
+            eprintln!("{path}: invalid JSON: {e}");
+            return None;
+        }
+    }
+    if !check(&body) {
+        eprintln!("{path}: {missing}: {body:.120}");
+        return None;
+    }
+    println!("{path}: ok ({} bytes)", body.len());
+    Some(body)
+}
+
+/// The top-level keys of a JSON object, in document order.
+fn top_keys(body: &str) -> Vec<String> {
+    match ahbpower_bench::parse_json(body) {
+        Ok(ahbpower_bench::JsonValue::Object(fields)) => {
+            fields.into_iter().map(|(k, _)| k).collect()
+        }
+        _ => Vec::new(),
+    }
+}
+
 /// `repro serve-probe --addr HOST:PORT [--quit] [--flightrec DIR]`:
 /// std-only smoke client for a running service (no curl needed in CI).
-/// Fetches `/healthz`, `/metrics`, `/status`, the dashboard at `/`,
-/// `/events` (long-polling up to 5 s and requiring at least one
-/// `TxnComplete` when the ring is enabled) and `/query` (the power
-/// observatory, checking the step→resolution contract), validates each
-/// payload, optionally sends `GET /quit` afterwards, and exits 1 on any
-/// failure. With `--flightrec DIR`, waits for at least one JSON-valid
-/// flight-recorder bundle whose causal chain reaches `TxnComplete` —
-/// the end-to-end assertion behind the injected-fault smoke test.
-/// With `--shards N` (N ≥ 2), additionally queries every shard's
-/// `energy` series individually and asserts the merged `/query` total
-/// equals the per-shard sum to 1e-9 relative — the merged-plane
-/// conservation check the multi-shard smoke test runs.
-fn serve_probe_cmd(addr: &str, quit: bool, flightrec: Option<&str>, shards: usize) {
-    use ahbpower_bench::http_get;
-    use std::time::Duration;
-    let timeout = Duration::from_secs(10);
+/// Reads the plane's shard count N from `/status`, then fetches every
+/// endpoint in [`PROBES`] — `/events` long-polls up to 5 s and must
+/// carry a `TxnComplete` when the ring is enabled — and walks each JSON
+/// endpoint once unfiltered and once per `?shard=K`, failing when a
+/// drill-down's top-level keys differ from the unfiltered answer's. It
+/// then asserts the merged `/query` energy equals the per-shard sum to
+/// 1e-9 relative, optionally sends `GET /quit`, and exits 1 on any
+/// failure. With `--flightrec DIR`, it also waits for at least one
+/// JSON-valid flight-recorder bundle whose causal chain reaches
+/// `TxnComplete` — the end-to-end assertion behind the injected-fault
+/// smoke test.
+fn serve_probe_cmd(addr: &str, quit: bool, flightrec: Option<&str>) {
+    use ahbpower_bench::{http_get, parse_json, JsonValue};
+    let timeout = std::time::Duration::from_secs(10);
     let mut failures = 0u32;
 
-    match http_get(addr, "/healthz", timeout) {
-        Ok(r) if r.status == 200 && r.body.contains("\"status\":\"ok\"") => {
-            match validate_json(&r.body) {
-                Ok(()) => println!("/healthz: ok"),
-                Err(e) => {
-                    eprintln!("/healthz: invalid JSON: {e}");
+    let shards = http_get(addr, "/status", timeout)
+        .ok()
+        .and_then(|r| parse_json(&r.body).ok())
+        .and_then(|doc| doc.get("shards").and_then(JsonValue::as_u64))
+        .map_or(1, |n| n as usize);
+    println!("serve-probe: {shards} shard(s)");
+    for probe @ (path, json, _, _) in PROBES {
+        let Some(all) = probe_get(addr, path, probe, timeout) else {
+            failures += 1;
+            continue;
+        };
+        if !json {
+            continue;
+        }
+        let sep = if path.contains('?') { '&' } else { '?' };
+        for k in 0..shards {
+            let drilled = format!("{path}{sep}shard={k}");
+            match probe_get(addr, &drilled, probe, timeout) {
+                Some(body) if top_keys(&body) == top_keys(&all) => {}
+                Some(_) => {
+                    eprintln!("{drilled}: top-level keys differ from the unfiltered {path}");
                     failures += 1;
                 }
+                None => failures += 1,
             }
-        }
-        Ok(r) => {
-            eprintln!("/healthz: unexpected status {} body {:?}", r.status, r.body);
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("/healthz: {e}");
-            failures += 1;
         }
     }
-    match http_get(addr, "/metrics", timeout) {
-        Ok(r) if r.status == 200 && r.body.contains("# TYPE") => {
-            println!("/metrics: ok ({} bytes)", r.body.len());
-        }
-        Ok(r) => {
-            eprintln!("/metrics: status {} without Prometheus content", r.status);
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("/metrics: {e}");
-            failures += 1;
-        }
-    }
-    match http_get(addr, "/status", timeout) {
-        Ok(r) if r.status == 200 => match validate_json(&r.body) {
-            Ok(()) => println!("/status: valid JSON ({} bytes)", r.body.len()),
-            Err(e) => {
-                eprintln!("/status: invalid JSON: {e}");
-                failures += 1;
-            }
-        },
-        Ok(r) => {
-            eprintln!("/status: status {}", r.status);
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("/status: {e}");
-            failures += 1;
-        }
-    }
-    match http_get(addr, "/", timeout) {
-        Ok(r) if r.status == 200 && r.body.contains("<canvas") && r.body.contains("/events") => {
-            println!("/: dashboard ok ({} bytes)", r.body.len());
-        }
-        Ok(r) => {
-            eprintln!("/: status {} without a dashboard page", r.status);
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("/: {e}");
-            failures += 1;
-        }
-    }
-    // Long-poll the event ring: a live worker publishes a TxnComplete
-    // well within the 5 s window (a 20k-cycle slice takes milliseconds).
-    match http_get(addr, "/events?since=0&max=4096&timeout_ms=5000", timeout) {
-        Ok(r) if r.status == 200 => match validate_json(&r.body) {
-            Ok(()) => {
-                let enabled = !r.body.contains("\"enabled\":false");
-                if !enabled {
-                    println!("/events: valid JSON (ring disabled)");
-                } else if r.body.contains("\"event\":\"TxnComplete\"") {
-                    println!(
-                        "/events: valid JSON with TxnComplete ({} bytes)",
-                        r.body.len()
-                    );
-                } else {
-                    eprintln!("/events: enabled ring served no TxnComplete within the poll window");
-                    failures += 1;
-                }
-            }
-            Err(e) => {
-                eprintln!("/events: invalid JSON: {e}");
-                failures += 1;
-            }
-        },
-        Ok(r) => {
-            eprintln!("/events: status {}", r.status);
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("/events: {e}");
-            failures += 1;
-        }
-    }
-    // The observatory range query: step=10 must answer from the 10x
-    // level (or serve an empty placeholder before the first slice).
-    match http_get(addr, "/query?series=energy&step=10", timeout) {
-        Ok(r) if r.status == 200 => match validate_json(&r.body) {
-            Ok(()) if r.body.contains("\"series\":\"energy\"") => {
-                println!("/query: valid JSON ({} bytes)", r.body.len());
-            }
-            Ok(()) => {
-                eprintln!("/query: JSON without the requested series: {:.120}", r.body);
-                failures += 1;
-            }
-            Err(e) => {
-                eprintln!("/query: invalid JSON: {e}");
-                failures += 1;
-            }
-        },
-        Ok(r) => {
-            eprintln!("/query: status {}", r.status);
-            failures += 1;
-        }
-        Err(e) => {
-            eprintln!("/query: {e}");
-            failures += 1;
-        }
-    }
-    if shards >= 2 && !probe_merged_query(addr, shards, timeout) {
+    if !probe_merged_query(addr, shards, timeout) {
         failures += 1;
     }
     if let Some(dir) = flightrec {

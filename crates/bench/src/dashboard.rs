@@ -11,9 +11,10 @@
 //! On a multi-shard plane the header grows a shard selector: the "all"
 //! view renders the merged endpoints plus a per-shard overview table
 //! (from `/status`'s `shard_detail`), while picking a shard appends
-//! `shard=K` to every poll for single-shard drill-down. The `/events`
-//! cursor is treated as opaque — numeric on one shard, dot-joined on
-//! the merged plane — so the same polling loop serves both.
+//! `shard=K` to every poll. Every endpoint answers one schema whatever
+//! the selection, so the same rendering and polling code serves both;
+//! the `/events` cursor (dot-joined, one component per covered shard)
+//! is passed back verbatim, never parsed.
 //!
 //! Everything is vanilla DOM + one `<canvas>`; the page works from the
 //! same std-only HTTP server as `/metrics` with no build step.
@@ -99,7 +100,7 @@ pub const DASHBOARD_HTML: &str = r##"<!DOCTYPE html>
 </main>
 <script>
 "use strict";
-var cursor = 0;            // opaque: numeric on one shard, dot-joined merged
+var cursor = 0;            // opaque: one dot-joined component per covered shard
 var buffer = [];           // retained events, oldest first
 var BUFFER_CAP = 20000;
 var masterNames = ["cpu", "dma", "stream", "m3", "m4", "m5", "m6", "m7"];
@@ -117,10 +118,10 @@ function setShard(value) {
 }
 
 function renderShardSelector(s) {
-  // Single-shard /status (drill-down) omits the plane-level "shards"
-  // field — remember the largest count seen so the selector survives
-  // switching into a shard and back.
-  var n = s.shards || 1;
+  // "shards" counts the shards a document covers (1 on a drill-down):
+  // remember the largest count seen so the selector survives switching
+  // into a shard and back.
+  var n = s.shards;
   var sel = byId("shardsel");
   if (n > shardCount) {
     shardCount = n;

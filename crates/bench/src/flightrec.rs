@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use ahbpower::telemetry::{AnomalyEvent, DetectorState, Event, EventKind, Observatory};
+use ahbpower::telemetry::{json_num, AnomalyEvent, DetectorState, Event, EventKind, Observatory};
 
 use crate::baseline::write_atomic;
 use crate::json::validate_json;
@@ -46,12 +46,6 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// Creates a shard-0 recorder (the single-shard spelling of
-    /// [`FlightRecorder::for_shard`]).
-    pub fn new(results_dir: &Path) -> Self {
-        FlightRecorder::for_shard(results_dir, 0)
-    }
-
     /// Creates a recorder for one serve shard. Bundles land in
     /// `results_dir/flightrec/shard-<shard>` (created lazily on the
     /// first write) and carry a `shard` field, so a multi-shard plane's
@@ -169,10 +163,10 @@ fn render_bundle(
                 "{{\"window\":{},\"start_cycle\":{},\"measured_j\":{},\"predicted_j\":{},\"deviation_pct\":{},\"z_score\":{}}}",
                 a.window,
                 a.start_cycle,
-                jnum(a.measured_j),
-                jnum(a.predicted_j),
-                jnum(a.deviation_pct),
-                jnum(a.z_score)
+                json_num(a.measured_j),
+                json_num(a.predicted_j),
+                json_num(a.deviation_pct),
+                json_num(a.z_score)
             );
         }
         None => out.push_str("null"),
@@ -187,8 +181,8 @@ fn render_bundle(
                 d.windows,
                 d.baseline_updates,
                 d.flagged,
-                jnum(d.resid_mean),
-                jnum(d.resid_var),
+                json_num(d.resid_mean),
+                json_num(d.resid_var),
                 d.resid_primed
             );
         }
@@ -210,9 +204,9 @@ fn render_bundle(
                     "{{\"window\":{},\"start_cycle\":{},\"energy_j\":{},\"min\":{},\"max\":{}}}",
                     p.start_window,
                     p.start_cycle,
-                    jnum(p.sum),
-                    jnum(p.min),
-                    jnum(p.max)
+                    json_num(p.sum),
+                    json_num(p.min),
+                    json_num(p.max)
                 );
             }
         }
@@ -260,15 +254,6 @@ fn render_bundle(
     }
     out.push_str("}}");
     out
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -334,7 +319,7 @@ mod tests {
     fn bundle_is_valid_json_with_causal_chain() {
         let tmp = std::env::temp_dir().join(format!("flightrec_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&tmp);
-        let mut rec = FlightRecorder::new(&tmp);
+        let mut rec = FlightRecorder::for_shard(&tmp, 0);
         let obs = observatory();
         let anomaly = AnomalyEvent {
             window: 9,
@@ -400,7 +385,7 @@ mod tests {
     fn bundles_dedupe_and_cap() {
         let tmp = std::env::temp_dir().join(format!("flightrec_cap_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&tmp);
-        let mut rec = FlightRecorder::new(&tmp);
+        let mut rec = FlightRecorder::for_shard(&tmp, 0);
         let events = events_around(3);
         let first = rec
             .record("anomaly", 3, 0, None, None, None, &events)
@@ -456,8 +441,6 @@ mod tests {
             .record("anomaly", 7, 0, None, None, None, &events)
             .expect("writes")
             .is_none());
-        // FlightRecorder::new is the shard-0 spelling.
-        assert_eq!(FlightRecorder::new(&tmp).dir(), rec0.dir());
         let _ = std::fs::remove_dir_all(&tmp);
     }
 }

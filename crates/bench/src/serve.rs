@@ -5,15 +5,17 @@
 //! thread-pool HTTP server with a connection limit and 503
 //! load-shedding — zero crates beyond `std::net`.
 //!
-//! The HTTP plane is *merged*: `/status`, `/healthz` and `/metrics`
-//! aggregate all shards (counters add, histograms bucket-merge via
-//! [`MetricsRegistry::merge_sum`], degraded flags OR together) while
-//! `?shard=N` drills into one shard; `/query` fans out to every shard
-//! observatory and composes sum/min/max per bucket (so the merged
-//! energy total equals the sum of the per-shard totals exactly); and
-//! `/events` exposes an aggregated cursor space — one absolute
-//! sequence per shard, dot-joined (`since=12.34`), with per-shard
-//! `dropped` accounting and shard-tagged events.
+//! The HTTP plane is *merged*, and a single shard is simply N=1: every
+//! endpoint renders one schema from a shard selection — all shards, or
+//! only `K` when the request carries `?shard=K`. `/status`, `/healthz`
+//! and `/metrics` aggregate the selection (counters add, histograms
+//! bucket-merge via [`MetricsRegistry::merge_sum`], degraded flags OR
+//! together); `/query` fans out to the selected observatories and
+//! composes sum/min/max per bucket (so the merged energy total equals
+//! the sum of the per-shard totals exactly); and `/events` exposes an
+//! aggregated cursor space — one absolute sequence per selected shard,
+//! dot-joined (`since=12.34`), with per-shard `dropped` accounting and
+//! shard-tagged events.
 //!
 //! Every slice, each shard republishes a fresh [`MetricsRegistry`]
 //! snapshot into its shared state; the HTTP pool renders merged views
@@ -28,6 +30,7 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,9 +39,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use ahbpower::telemetry::{
-    events_to_jsonl, to_prometheus, AnomalyConfig, AnomalyEvent, DetectorState, Event, EventBatch,
-    EventBus, EventKind, ExportMeta, MetricsRegistry, Observatory, ObservatoryConfig, QueryResult,
-    TelemetryConfig, DEFAULT_EVENT_CAPACITY, OBSERVATORY_LEVEL_FACTORS,
+    events_to_jsonl, json_num, to_prometheus, AnomalyConfig, AnomalyEvent, DetectorState, Event,
+    EventBatch, EventBus, EventKind, ExportMeta, MetricsRegistry, Observatory, ObservatoryConfig,
+    QueryResult, TelemetryConfig, DEFAULT_EVENT_CAPACITY, OBSERVATORY_LEVEL_FACTORS,
 };
 use ahbpower::{AnalysisConfig, PowerSession, SubBlock};
 use ahbpower_ahb::CycleHistogram;
@@ -249,7 +252,6 @@ impl From<io::Error> for ServeError {
 #[derive(Debug)]
 struct LiveState {
     started: Instant,
-    shard: usize,
     mix: ScenarioMix,
     seed: u64,
     slices: u64,
@@ -297,15 +299,12 @@ struct LiveState {
     /// Wall-clock per `/status` render (HTTP-thread-measured).
     render_us: CycleHistogram,
     registry: MetricsRegistry,
-    /// Latest full JSONL export (registry + anomaly event lines).
-    jsonl: String,
 }
 
 impl LiveState {
-    fn new(shard: usize, mix: ScenarioMix, seed: u64, events_enabled: bool) -> Self {
+    fn new(mix: ScenarioMix, seed: u64, events_enabled: bool) -> Self {
         LiveState {
             started: Instant::now(),
-            shard,
             mix,
             seed,
             slices: 0,
@@ -333,7 +332,6 @@ impl LiveState {
             publish_us: CycleHistogram::new(&STAGE_US_BOUNDS),
             render_us: CycleHistogram::new(&STAGE_US_BOUNDS),
             registry: MetricsRegistry::new(),
-            jsonl: String::new(),
         }
     }
 
@@ -503,168 +501,6 @@ impl LiveState {
         let g = reg.gauge("serve_uptime_seconds", "Service uptime.", &[]);
         reg.set(g, self.uptime_s());
         self.registry = reg;
-
-        let mut jsonl = ahbpower::telemetry::to_jsonl(
-            &self.registry,
-            &ahbpower::telemetry::ExportMeta {
-                scenario: format!("serve_{}", self.mix.name()),
-                cycles: self.cycles,
-                seed: self.seed,
-            },
-        );
-        for e in &self.anomaly_events {
-            jsonl.push_str(&e.to_jsonl_line());
-            jsonl.push('\n');
-        }
-        self.jsonl = jsonl;
-    }
-
-    /// The `/status` document. Hand-built like every exporter in the
-    /// workspace; `serve` self-checks it with [`validate_json`].
-    fn status_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"status\":\"ok\",\"shard\":{},\"scenario_mix\":\"{}\",\"uptime_s\":{},\"slices\":{},\"cycles\":{},\"seed\":{},\"total_energy_j\":{}",
-            self.shard,
-            self.mix.name(),
-            jnum(self.uptime_s()),
-            self.slices,
-            self.cycles,
-            self.seed,
-            jnum(self.total_energy_j)
-        );
-        let _ = write!(
-            out,
-            ",\"window_power_uw\":{{\"windows\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-            self.window_power_uw.count(),
-            jnum(self.window_power_uw.quantile(0.5)),
-            jnum(self.window_power_uw.quantile(0.95)),
-            jnum(self.window_power_uw.quantile(0.99))
-        );
-        let _ = write!(
-            out,
-            ",\"anomalies\":{{\"windows\":{},\"count\":{},\"baseline_updates\":{},\"last\":",
-            self.anomaly_windows,
-            self.anomaly_events.len(),
-            self.baseline_updates
-        );
-        match self.anomaly_events.last() {
-            Some(e) => {
-                let _ = write!(
-                    out,
-                    "{{\"window\":{},\"start_cycle\":{},\"deviation_pct\":{},\"z_score\":{}}}",
-                    e.window,
-                    e.start_cycle,
-                    jnum(e.deviation_pct),
-                    jnum(e.z_score)
-                );
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            "}},\"transactions\":{},\"per_master_j\":[",
-            self.transactions
-        );
-        for (i, j) in self.per_master_j.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&jnum(*j));
-        }
-        let _ = write!(
-            out,
-            "],\"events\":{{\"enabled\":{},\"published\":{},\"dropped\":{},\"logged\":{},\"cursor\":{},\"lag\":{}}}",
-            self.events_enabled,
-            self.events_published,
-            self.events_dropped,
-            self.events_log.len(),
-            self.events_cursor,
-            self.events_lag()
-        );
-        let _ = write!(
-            out,
-            ",\"degraded\":{},\"high_water\":{{\"slice\":{},\"window\":{}}}",
-            self.degraded(),
-            self.slices,
-            self.anomaly_windows
-        );
-        out.push_str(",\"observatory\":");
-        match &self.observatory {
-            Some(obs) => {
-                let _ = write!(out, "{{\"windows\":{},\"levels\":[", obs.windows_ingested());
-                for (level, factor) in OBSERVATORY_LEVEL_FACTORS.iter().enumerate() {
-                    if level > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"factor\":{factor},\"occupancy\":{},\"opened\":{}}}",
-                        obs.occupancy(level),
-                        obs.cascades(level)
-                    );
-                }
-                out.push_str("]}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(
-            out,
-            ",\"flightrec\":{{\"bundles\":{}}}",
-            self.flightrec_bundles
-        );
-        let _ = write!(
-            out,
-            ",\"replay\":{{\"trace_cycles\":{},\"variants\":{},\"cycles_per_sec\":{}}}",
-            self.replay_trace_cycles,
-            self.replay_variants,
-            jnum(self.replay_cycles_per_sec)
-        );
-        out.push_str(",\"stages\":{");
-        for (i, (stage, hist)) in [
-            ("sim_us", &self.sim_us),
-            ("publish_us", &self.publish_us),
-            ("render_us", &self.render_us),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{stage}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                hist.count(),
-                jnum(hist.quantile(0.5)),
-                jnum(hist.quantile(0.95)),
-                jnum(hist.quantile(0.99))
-            );
-        }
-        out.push_str("},\"instructions\":[");
-        for (i, (name, count, total, mean)) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{name}\",\"count\":{count},\"total_j\":{},\"mean_j\":{}}}",
-                jnum(*total),
-                jnum(*mean)
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
-/// A JSON-safe float.
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -724,6 +560,28 @@ impl Plane {
     fn uptime_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
+
+    /// Every shard: what an unfiltered request covers.
+    fn all(&self) -> Range<usize> {
+        0..self.shards.len()
+    }
+
+    /// The shards a request covers: all of them, or only `K` when the
+    /// query carries `shard=K`. Out-of-range and malformed indexes are
+    /// errors (clean 400s).
+    fn select(&self, query: &str) -> Result<Range<usize>, String> {
+        let n = self.shards.len();
+        let Some(v) = query_str(query, "shard") else {
+            return Ok(self.all());
+        };
+        let k: usize = v
+            .parse()
+            .map_err(|_| format!("bad shard '{v}': not an index"))?;
+        if k >= n {
+            return Err(format!("shard {k} out of range ({n} shards)"));
+        }
+        Ok(k..k + 1)
+    }
 }
 
 /// A running service: the bound address plus the shard workers and the
@@ -743,12 +601,6 @@ impl ServerHandle {
     /// The bound socket address (resolves port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
         self.addr
-    }
-
-    /// Shard 0's structured event ring (what single-shard `/events`
-    /// reads); see [`ServerHandle::shard_events_bus`] for the rest.
-    pub fn events_bus(&self) -> &Arc<EventBus> {
-        &self.plane.shards[0].events
     }
 
     /// A shard's structured event ring, or `None` past the last shard.
@@ -842,7 +694,7 @@ impl ServerHandle {
             // Merged registry (same composition /metrics serves) plus
             // every shard's anomaly event lines.
             let mut jsonl = ahbpower::telemetry::to_jsonl(
-                &merged_registry(&plane),
+                &merged_registry(&plane, plane.all()),
                 &ExportMeta {
                     scenario: format!("serve_{}", plane.mix.name()),
                     cycles: 0,
@@ -862,7 +714,7 @@ impl ServerHandle {
             let jsonl_path = dir.join("serve_final.jsonl");
             write_atomic(&jsonl_path, &jsonl)?;
             flushed.push(jsonl_path);
-            let status = merged_status_json(&plane);
+            let status = merged_status_json(&plane, plane.all());
             validate_json(&status)
                 .map_err(|e| ServeError::SelfCheck(format!("final status JSON invalid: {e}")))?;
             let status_path = dir.join("serve_status.json");
@@ -980,9 +832,7 @@ pub fn serve(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         let shard_seed = cfg.seed + shard as u64 * SHARD_SEED_STRIDE;
         let events = EventBus::shared(cfg.events_capacity);
         events.set_enabled(cfg.events);
-        let state = Arc::new(Mutex::new(LiveState::new(
-            shard, cfg.mix, shard_seed, cfg.events,
-        )));
+        let state = Arc::new(Mutex::new(LiveState::new(cfg.mix, shard_seed, cfg.events)));
         shards.push(ShardRef { state, events });
     }
     let plane = Arc::new(Plane {
@@ -1336,6 +1186,7 @@ fn run_accept(listener: &TcpListener, plane: &Arc<Plane>) {
                 "text/plain; charset=utf-8",
                 "overloaded: connection limit reached, request shed\n",
             );
+            linger_close(&mut stream);
             continue;
         }
         // ordering: admission claim, paired with the pool's decrement; seqcst for simplicity.
@@ -1501,24 +1352,10 @@ fn parse_range(query: &str) -> Result<(u64, u64, u64), String> {
     Ok((from, to, step))
 }
 
-/// Parses the optional `shard=` drill-down parameter. `None` means the
-/// merged plane; out-of-range or malformed values are errors.
-fn parse_shard(query: &str, shards: usize) -> Result<Option<usize>, String> {
-    match query_str(query, "shard") {
-        None => Ok(None),
-        Some(v) => {
-            let i: usize = v
-                .parse()
-                .map_err(|_| format!("bad shard '{v}': not an index"))?;
-            if i >= shards {
-                return Err(format!("shard {i} out of range ({shards} shards)"));
-            }
-            Ok(Some(i))
-        }
-    }
-}
+/// An HTTP answer: `(status, content-type, body)`.
+type Response = (u16, &'static str, String);
 
-fn bad_request(msg: String) -> (u16, &'static str, String) {
+fn bad_request(msg: String) -> Response {
     (400, "text/plain; charset=utf-8", format!("{msg}\n"))
 }
 
@@ -1527,20 +1364,16 @@ fn bad_request(msg: String) -> (u16, &'static str, String) {
 /// `from`/`to` are raw window indexes (inclusive, defaulting to
 /// everything) and `step` picks the resolution: the coarsest level
 /// whose factor is ≤ `step` answers, so `step=1` reads raw buckets,
-/// `step=10` the 10× ring and `step=100` the 100× ring. Without
-/// `shard=`, the query fans out to every shard observatory and merges
-/// buckets (sums add, minima/maxima compose), so the merged energy
-/// total is exactly the sum of the per-shard totals.
-fn query_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
+/// `step=10` the 10× ring and `step=100` the 100× ring. The query fans
+/// out to every selected shard observatory and merges buckets (sums
+/// add, minima/maxima compose), so the merged energy total is exactly
+/// the sum of the per-shard totals.
+fn query_response(query: &str, plane: &Plane, shards: Range<usize>) -> Response {
     let Some(series) = query_str(query, "series") else {
         return bad_request("missing series parameter".to_string());
     };
     let (from, to, step) = match parse_range(query) {
         Ok(r) => r,
-        Err(msg) => return bad_request(msg),
-    };
-    let shard = match parse_shard(query, plane.shards.len()) {
-        Ok(s) => s,
         Err(msg) => return bad_request(msg),
     };
     let placeholder = || {
@@ -1552,13 +1385,9 @@ fn query_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
             ),
         )
     };
-    let selected: Vec<&ShardRef> = match shard {
-        Some(i) => vec![&plane.shards[i]],
-        None => plane.shards.iter().collect(),
-    };
     let mut results: Vec<QueryResult> = Vec::new();
     let mut have_observatory = false;
-    for sh in selected {
+    for sh in &plane.shards[shards] {
         let Ok(s) = sh.state.lock() else {
             return (
                 500,
@@ -1627,46 +1456,11 @@ pub fn merged_read_since(buses: &[Arc<EventBus>], since: &[u64], max: usize) -> 
         .collect()
 }
 
-/// The single-shard `/events` body — numeric cursors, exactly the
-/// pre-sharding wire format (what the dashboard and curl examples use
-/// against a 1-shard serve or with `shard=`).
-fn events_json(query: &str, events: &EventBus, stop: &AtomicBool) -> String {
-    let since = query_u64(query, "since").unwrap_or(0);
-    let max = query_u64(query, "max").unwrap_or(1_000).min(4_096) as usize;
-    let timeout_ms = query_u64(query, "timeout_ms")
-        .unwrap_or(0)
-        .min(EVENTS_POLL_CAP_MS);
-    let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-    let mut batch = events.read_since(since, max);
-    // ordering: cold shutdown poll in the long-poll loop; seqcst for simplicity.
-    while batch.events.is_empty() && Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
-        thread::sleep(Duration::from_millis(25));
-        batch = events.read_since(since, max);
-    }
-    let mut out = String::with_capacity(64 + 96 * batch.events.len());
-    let _ = write!(
-        out,
-        "{{\"since\":{since},\"next\":{},\"dropped\":{},\"published\":{},\"enabled\":{},\"events\":[",
-        batch.next,
-        batch.dropped,
-        batch.published,
-        events.is_enabled()
-    );
-    for (i, e) in batch.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&e.to_json_obj());
-    }
-    out.push_str("]}");
-    out
-}
-
-/// The merged `/events` body: string cursors over the aggregated
-/// per-shard sequence space, per-shard `dropped`/`published` arrays,
-/// and every event tagged with its shard.
-fn merged_events_json(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    let n = plane.shards.len();
+/// The `/events` body: string cursors over the aggregated sequence
+/// space of the selected shards, per-shard `dropped`/`published`
+/// arrays, and every event tagged with its plane shard index.
+fn merged_events_json(query: &str, plane: &Plane, shards: Range<usize>) -> Response {
+    let n = shards.len();
     let since = match query_str(query, "since") {
         None => vec![0u64; n],
         Some(v) => match parse_multi_cursor(v, n) {
@@ -1678,7 +1472,8 @@ fn merged_events_json(query: &str, plane: &Plane) -> (u16, &'static str, String)
     let timeout_ms = query_u64(query, "timeout_ms")
         .unwrap_or(0)
         .min(EVENTS_POLL_CAP_MS);
-    let buses: Vec<Arc<EventBus>> = plane.shards.iter().map(|s| Arc::clone(&s.events)).collect();
+    let selected = &plane.shards[shards.clone()];
+    let buses: Vec<Arc<EventBus>> = selected.iter().map(|s| Arc::clone(&s.events)).collect();
     let deadline = Instant::now() + Duration::from_millis(timeout_ms);
     let mut batches = merged_read_since(&buses, &since, max);
     while batches.iter().all(|b| b.events.is_empty())
@@ -1711,10 +1506,10 @@ fn merged_events_json(query: &str, plane: &Plane) -> (u16, &'static str, String)
         }
         let _ = write!(out, "{}", b.published);
     }
-    let enabled = plane.shards.iter().any(|s| s.events.is_enabled());
+    let enabled = selected.iter().any(|s| s.events.is_enabled());
     let _ = write!(out, "],\"enabled\":{enabled},\"events\":[");
     let mut first = true;
-    for (shard, b) in batches.iter().enumerate() {
+    for (shard, b) in shards.zip(&batches) {
         for e in &b.events {
             if !first {
                 out.push(',');
@@ -1729,49 +1524,32 @@ fn merged_events_json(query: &str, plane: &Plane) -> (u16, &'static str, String)
     (200, "application/json", out)
 }
 
-fn events_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(Some(i)) => (
-            200,
-            "application/json",
-            events_json(query, &plane.shards[i].events, &plane.stop),
-        ),
-        // One shard keeps the numeric pre-sharding wire format.
-        Ok(None) if plane.shards.len() == 1 => (
-            200,
-            "application/json",
-            events_json(query, &plane.shards[0].events, &plane.stop),
-        ),
-        Ok(None) => merged_events_json(query, plane),
-    }
-}
-
-/// Builds the merged `/metrics` registry: per-shard registries sum
-/// (counters add, histograms bucket-merge), non-extensive gauges are
-/// overwritten with their plane-level composition, the serving plane's
-/// own admission metrics are added, and — for a multi-shard plane —
-/// every shard's registry rides along under a `shard=` label.
-fn merged_registry(plane: &Plane) -> MetricsRegistry {
-    let snaps: Vec<(MetricsRegistry, bool)> = plane
-        .shards
-        .iter()
-        .filter_map(|sh| {
+/// Builds the `/metrics` registry of the selected shards: their
+/// registries sum (counters add, histograms bucket-merge),
+/// non-extensive gauges are overwritten with their plane-level
+/// composition, the serving plane's own admission metrics are added,
+/// and — when the selection covers several shards — every shard's
+/// registry rides along under a `shard=` label.
+fn merged_registry(plane: &Plane, shards: Range<usize>) -> MetricsRegistry {
+    let snaps: Vec<(usize, MetricsRegistry, bool)> = shards
+        .clone()
+        .zip(&plane.shards[shards.clone()])
+        .filter_map(|(i, sh)| {
             sh.state
                 .lock()
                 .ok()
-                .map(|s| (s.registry.clone(), s.degraded()))
+                .map(|s| (i, s.registry.clone(), s.degraded()))
         })
         .collect();
     let mut agg = MetricsRegistry::new();
-    for (reg, _) in &snaps {
+    for (_, reg, _) in &snaps {
         agg.merge_sum(reg);
     }
     // Summing uptime/degraded/replay-throughput across shards is
     // meaningless; recompose them at plane level.
     let g = agg.gauge("serve_uptime_seconds", "Service uptime.", &[]);
     agg.set(g, plane.uptime_s());
-    let degraded = snaps.iter().any(|(_, d)| *d);
+    let degraded = snaps.iter().any(|(_, _, d)| *d);
     let g = agg.gauge(
         "serve_degraded",
         "1 while any shard's most recently judged detection window was flagged.",
@@ -1780,7 +1558,7 @@ fn merged_registry(plane: &Plane) -> MetricsRegistry {
     agg.set(g, if degraded { 1.0 } else { 0.0 });
     let replay = snaps
         .iter()
-        .filter_map(|(r, _)| r.gauge_value("serve_replay_cycles_per_second", &[]))
+        .filter_map(|(_, r, _)| r.gauge_value("serve_replay_cycles_per_second", &[]))
         .fold(0.0f64, f64::max);
     let g = agg.gauge(
         "serve_replay_cycles_per_second",
@@ -1788,8 +1566,8 @@ fn merged_registry(plane: &Plane) -> MetricsRegistry {
         &[],
     );
     agg.set(g, replay);
-    let g = agg.gauge("serve_shards", "Worker shards running.", &[]);
-    agg.set(g, plane.shards.len() as f64);
+    let g = agg.gauge("serve_shards", "Worker shards this answer covers.", &[]);
+    agg.set(g, shards.len() as f64);
     let g = agg.gauge("serve_http_threads", "HTTP pool size.", &[]);
     agg.set(g, plane.http_threads as f64);
     let g = agg.gauge(
@@ -1812,44 +1590,30 @@ fn merged_registry(plane: &Plane) -> MetricsRegistry {
     );
     // ordering: monitoring read of the shed tally; seqcst for simplicity.
     agg.add(c, plane.shed.load(Ordering::SeqCst) as f64);
-    if snaps.len() > 1 {
-        for (i, (reg, _)) in snaps.iter().enumerate() {
+    if shards.len() > 1 {
+        for (i, reg, _) in &snaps {
             agg.merge_labeled(reg, "shard", &i.to_string());
         }
     }
     agg
 }
 
-fn metrics_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    const PROM: &str = "text/plain; version=0.0.4; charset=utf-8";
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(Some(i)) => match plane.shards[i].state.lock() {
-            Ok(mut s) => {
-                let uptime = s.uptime_s();
-                let g = s
-                    .registry
-                    .gauge("serve_uptime_seconds", "Service uptime.", &[]);
-                s.registry.set(g, uptime);
-                (200, PROM, to_prometheus(&s.registry))
-            }
-            Err(_) => (
-                500,
-                "text/plain; charset=utf-8",
-                "state poisoned\n".to_string(),
-            ),
-        },
-        Ok(None) => (200, PROM, to_prometheus(&merged_registry(plane))),
-    }
+fn metrics_response(_query: &str, plane: &Plane, shards: Range<usize>) -> Response {
+    (
+        200,
+        "text/plain; version=0.0.4; charset=utf-8",
+        to_prometheus(&merged_registry(plane, shards)),
+    )
 }
 
-/// The merged `/status` document: the same shape a single shard
-/// publishes (every pre-sharding key keeps its meaning, now
-/// aggregated) plus `shards`, an `http` admission block and a
-/// `shard_detail` array for per-shard drill-down without extra
-/// requests.
-fn merged_status_json(plane: &Plane) -> String {
-    let n = plane.shards.len();
+/// The `/status` document of the selected shards: extensive figures
+/// summed, watermarks and flags max/any-composed, plus `shards` (how
+/// many shards the document covers), an `http` admission block and a
+/// `shard_detail` entry per covered shard. `seed` is the first covered
+/// shard's seed (the base seed when every shard is covered).
+fn merged_status_json(plane: &Plane, shards: Range<usize>) -> String {
+    let n = shards.len();
+    let mut seed = plane.seed;
     let mut slices = 0u64;
     let mut cycles = 0u64;
     let mut total_energy = 0.0f64;
@@ -1881,8 +1645,11 @@ fn merged_status_json(plane: &Plane) -> String {
     let mut rows: BTreeMap<String, (u64, f64)> = BTreeMap::new();
     let mut detail = String::new();
 
-    for (i, sh) in plane.shards.iter().enumerate() {
+    for (i, sh) in shards.clone().zip(&plane.shards[shards.clone()]) {
         let Ok(s) = sh.state.lock() else { continue };
+        if i == shards.start {
+            seed = s.seed;
+        }
         slices += s.slices;
         cycles += s.cycles;
         total_energy += s.total_energy_j;
@@ -1938,7 +1705,7 @@ fn merged_status_json(plane: &Plane) -> String {
             e.0 += count;
             e.1 += total;
         }
-        if i > 0 {
+        if !detail.is_empty() {
             detail.push(',');
         }
         let _ = write!(
@@ -1948,7 +1715,7 @@ fn merged_status_json(plane: &Plane) -> String {
             s.seed,
             s.slices,
             s.cycles,
-            jnum(s.total_energy_j),
+            json_num(s.total_energy_j),
             s.transactions,
             s.anomaly_events.len(),
             s.degraded(),
@@ -1965,19 +1732,19 @@ fn merged_status_json(plane: &Plane) -> String {
         out,
         "{{\"status\":\"ok\",\"shards\":{n},\"scenario_mix\":\"{}\",\"uptime_s\":{},\"slices\":{},\"cycles\":{},\"seed\":{},\"total_energy_j\":{}",
         plane.mix.name(),
-        jnum(plane.uptime_s()),
+        json_num(plane.uptime_s()),
         slices,
         cycles,
-        plane.seed,
-        jnum(total_energy)
+        seed,
+        json_num(total_energy)
     );
     let _ = write!(
         out,
         ",\"window_power_uw\":{{\"windows\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
         window_power.count(),
-        jnum(window_power.quantile(0.5)),
-        jnum(window_power.quantile(0.95)),
-        jnum(window_power.quantile(0.99))
+        json_num(window_power.quantile(0.5)),
+        json_num(window_power.quantile(0.95)),
+        json_num(window_power.quantile(0.99))
     );
     let _ = write!(
         out,
@@ -1990,8 +1757,8 @@ fn merged_status_json(plane: &Plane) -> String {
                 "{{\"window\":{},\"start_cycle\":{},\"deviation_pct\":{},\"z_score\":{}}}",
                 e.window,
                 e.start_cycle,
-                jnum(e.deviation_pct),
-                jnum(e.z_score)
+                json_num(e.deviation_pct),
+                json_num(e.z_score)
             );
         }
         None => out.push_str("null"),
@@ -2001,7 +1768,7 @@ fn merged_status_json(plane: &Plane) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&jnum(*j));
+        out.push_str(&json_num(*j));
     }
     let _ = write!(
         out,
@@ -2034,7 +1801,7 @@ fn merged_status_json(plane: &Plane) -> String {
         ",\"replay\":{{\"trace_cycles\":{},\"variants\":{},\"cycles_per_sec\":{}}}",
         replay.0,
         replay.1,
-        jnum(replay.2)
+        json_num(replay.2)
     );
     let _ = write!(
         out,
@@ -2062,9 +1829,9 @@ fn merged_status_json(plane: &Plane) -> String {
             out,
             "\"{stage}\":{{\"count\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
             hist.count(),
-            jnum(hist.quantile(0.5)),
-            jnum(hist.quantile(0.95)),
-            jnum(hist.quantile(0.99))
+            json_num(hist.quantile(0.5)),
+            json_num(hist.quantile(0.95)),
+            json_num(hist.quantile(0.99))
         );
     }
     out.push_str("},\"instructions\":[");
@@ -2080,107 +1847,72 @@ fn merged_status_json(plane: &Plane) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"{name}\",\"count\":{count},\"total_j\":{},\"mean_j\":{}}}",
-            jnum(*total),
-            jnum(mean)
+            json_num(*total),
+            json_num(mean)
         );
     }
     let _ = write!(out, "],\"shard_detail\":[{detail}]}}");
     out
 }
 
-fn status_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(shard) => {
-            let started = Instant::now();
-            let body = match shard {
-                Some(i) => match plane.shards[i].state.lock() {
-                    Ok(s) => s.status_json(),
-                    Err(_) => {
-                        return (
-                            500,
-                            "text/plain; charset=utf-8",
-                            "state poisoned\n".to_string(),
-                        )
-                    }
-                },
-                None => merged_status_json(plane),
-            };
-            // Self-measured with one-render lag, booked to the shard
-            // that answered (shard 0 for the merged view): this
-            // observation shows up in the next render's stages block.
-            let book = shard.unwrap_or(0);
-            if let Ok(mut s) = plane.shards[book].state.lock() {
-                s.render_us.observe(started.elapsed().as_micros() as u64);
-            }
-            (200, "application/json", body)
-        }
+fn status_response(_query: &str, plane: &Plane, shards: Range<usize>) -> Response {
+    let started = Instant::now();
+    let book = shards.start;
+    let body = merged_status_json(plane, shards);
+    // Self-measured with one-render lag, booked to the first covered
+    // shard: this observation shows up in the next render's stages
+    // block.
+    if let Ok(mut s) = plane.shards[book].state.lock() {
+        s.render_us.observe(started.elapsed().as_micros() as u64);
     }
+    (200, "application/json", body)
 }
 
-fn healthz_response(query: &str, plane: &Plane) -> (u16, &'static str, String) {
-    match parse_shard(query, plane.shards.len()) {
-        Err(msg) => bad_request(msg),
-        Ok(Some(i)) => match plane.shards[i].state.lock() {
-            Ok(s) => {
-                let body = format!(
-                    "{{\"status\":\"ok\",\"uptime_s\":{},\"degraded\":{},\"high_water\":{{\"slice\":{},\"window\":{}}}}}",
-                    jnum(s.uptime_s()),
-                    s.degraded(),
-                    s.slices,
-                    s.anomaly_windows
-                );
-                (200, "application/json", body)
-            }
-            Err(_) => (
-                500,
-                "text/plain; charset=utf-8",
-                "state poisoned\n".to_string(),
-            ),
-        },
-        Ok(None) => {
-            let mut degraded = false;
-            let mut hw_slice = 0u64;
-            let mut hw_window = 0u64;
-            for sh in &plane.shards {
-                if let Ok(s) = sh.state.lock() {
-                    degraded |= s.degraded();
-                    hw_slice = hw_slice.max(s.slices);
-                    hw_window = hw_window.max(s.anomaly_windows);
-                }
-            }
-            let body = format!(
-                "{{\"status\":\"ok\",\"uptime_s\":{},\"degraded\":{degraded},\"shards\":{},\"shed\":{},\"high_water\":{{\"slice\":{hw_slice},\"window\":{hw_window}}}}}",
-                jnum(plane.uptime_s()),
-                plane.shards.len(),
-                // ordering: monitoring read of the shed tally; seqcst for simplicity.
-                plane.shed.load(Ordering::SeqCst)
-            );
-            (200, "application/json", body)
+fn healthz_response(_query: &str, plane: &Plane, shards: Range<usize>) -> Response {
+    let mut degraded = false;
+    let mut hw_slice = 0u64;
+    let mut hw_window = 0u64;
+    for sh in &plane.shards[shards.clone()] {
+        if let Ok(s) = sh.state.lock() {
+            degraded |= s.degraded();
+            hw_slice = hw_slice.max(s.slices);
+            hw_window = hw_window.max(s.anomaly_windows);
         }
     }
+    let body = format!(
+        "{{\"status\":\"ok\",\"uptime_s\":{},\"degraded\":{degraded},\"shards\":{},\"shed\":{},\"high_water\":{{\"slice\":{hw_slice},\"window\":{hw_window}}}}}",
+        json_num(plane.uptime_s()),
+        shards.len(),
+        // ordering: monitoring read of the shed tally; seqcst for simplicity.
+        plane.shed.load(Ordering::SeqCst)
+    );
+    (200, "application/json", body)
 }
 
 /// Maps a path (plus optional query string) to
-/// `(status, content-type, body)`.
-fn route(path: &str, plane: &Plane) -> (u16, &'static str, String) {
-    let (path, query) = match path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (path, ""),
+/// `(status, content-type, body)`. The data endpoints render from the
+/// shard selection [`Plane::select`] parses out of the query.
+fn route(path: &str, plane: &Plane) -> Response {
+    let (path, query) = path.split_once('?').unwrap_or((path, ""));
+    let render: fn(&str, &Plane, Range<usize>) -> Response = match path {
+        "/" | "/dashboard" => return (200, "text/html; charset=utf-8", DASHBOARD_HTML.to_string()),
+        "/quit" => {
+            return (
+                200,
+                "text/plain; charset=utf-8",
+                "shutting down\n".to_string(),
+            )
+        }
+        "/events" => merged_events_json,
+        "/healthz" => healthz_response,
+        "/metrics" => metrics_response,
+        "/query" => query_response,
+        "/status" => status_response,
+        _ => return (404, "text/plain; charset=utf-8", "not found\n".to_string()),
     };
-    match path {
-        "/" | "/dashboard" => (200, "text/html; charset=utf-8", DASHBOARD_HTML.to_string()),
-        "/events" => events_response(query, plane),
-        "/healthz" => healthz_response(query, plane),
-        "/query" => query_response(query, plane),
-        "/quit" => (
-            200,
-            "text/plain; charset=utf-8",
-            "shutting down\n".to_string(),
-        ),
-        "/metrics" => metrics_response(query, plane),
-        "/status" => status_response(query, plane),
-        _ => (404, "text/plain; charset=utf-8", "not found\n".to_string()),
+    match plane.select(query) {
+        Ok(shards) => render(query, plane, shards),
+        Err(msg) => bad_request(msg),
     }
 }
 

@@ -328,7 +328,7 @@ fn dashboard_events_stream_and_causal_trace() {
     }
     assert!(saw_txn, "the live stream must carry TxnComplete events");
     assert!(
-        handle.events_bus().published() > 0,
+        handle.shard_events_bus(0).expect("shard 0").published() > 0,
         "the shared ring records publishes"
     );
 

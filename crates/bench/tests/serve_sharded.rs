@@ -3,12 +3,15 @@
 //! `/status`, `/healthz` and `/metrics` with `?shard=` drill-down,
 //! connection-limit load shedding, and the in-process load generator.
 
+use std::io::{Read as _, Write as _};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use ahbpower::telemetry::AnomalyConfig;
 use ahbpower_bench::{
-    http_get, loadgen_report_json, parse_json, run_loadgen, serve, validate_json, JsonValue,
-    LoadgenConfig, ScenarioMix, ServeConfig, SHARD_SEED_STRIDE,
+    http_get, loadgen_report_json, parse_json, run_loadgen, serve, validate_json, HttpResponse,
+    JsonValue, LoadgenConfig, ScenarioMix, ServeConfig, ServeError, ServerHandle,
+    SHARD_SEED_STRIDE,
 };
 
 const TIMEOUT: Duration = Duration::from_secs(10);
@@ -109,12 +112,22 @@ fn merged_plane_aggregates_and_drills_down() {
         "different seed lanes must produce different energy"
     );
 
-    // Per-shard /status drill-down keeps the single-shard shape.
+    // Per-shard /status drill-down: the same document over one shard.
     for k in 0..2u64 {
         let resp = http_get(&addr, &format!("/status?shard={k}"), TIMEOUT).expect("shard status");
         assert_eq!(resp.status, 200);
         let sdoc = parse_json(&resp.body).expect("shard status parses");
-        assert_eq!(sdoc.get("shard").and_then(JsonValue::as_u64), Some(k));
+        assert_eq!(sdoc.get("shards").and_then(JsonValue::as_u64), Some(1));
+        let detail = sdoc
+            .get("shard_detail")
+            .and_then(JsonValue::as_array)
+            .expect("shard_detail");
+        assert_eq!(detail.len(), 1);
+        assert_eq!(detail[0].get("shard").and_then(JsonValue::as_u64), Some(k));
+        assert_eq!(
+            sdoc.get("seed").and_then(JsonValue::as_u64),
+            Some(2003 + k * SHARD_SEED_STRIDE)
+        );
         assert_eq!(sdoc.get("slices").and_then(JsonValue::as_u64), Some(3));
     }
     let bad = http_get(&addr, "/status?shard=2", TIMEOUT).expect("bad shard");
@@ -215,13 +228,22 @@ fn merged_plane_aggregates_and_drills_down() {
             break;
         }
     }
-    // Per-shard drill-down keeps the numeric single-ring wire format.
+    // Per-shard drill-down: the same wire format over one ring, so the
+    // cursor has one component and every event carries the shard's tag.
     let shard_events = http_get(&addr, "/events?since=0&max=16&shard=1", TIMEOUT).expect("events");
     let sdoc = parse_json(&shard_events.body).expect("shard events parse");
-    assert!(
-        sdoc.get("next").and_then(JsonValue::as_u64).is_some(),
-        "single-shard cursor stays numeric"
-    );
+    let next = sdoc
+        .get("next")
+        .and_then(JsonValue::as_str)
+        .expect("drill-down cursor is a string");
+    assert_eq!(next.split('.').count(), 1, "one component: {next}");
+    for e in sdoc
+        .get("events")
+        .and_then(JsonValue::as_array)
+        .expect("events array")
+    {
+        assert_eq!(e.get("shard").and_then(JsonValue::as_u64), Some(1));
+    }
     // A malformed merged cursor is a clean 400.
     let bad = http_get(&addr, "/events?since=1.2.3.4&max=16", TIMEOUT).expect("bad cursor");
     assert_eq!(bad.status, 400);
@@ -256,22 +278,78 @@ fn merged_plane_aggregates_and_drills_down() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The top-level keys of a JSON object answer, in document order.
+fn top_keys(doc: &JsonValue) -> Vec<&str> {
+    match doc {
+        JsonValue::Object(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("expected a JSON object, got {other:?}"),
+    }
+}
+
 #[test]
-fn admission_limit_sheds_with_503() {
-    // One connection slot: a parked long-poll holds it, so the next
-    // connection must be shed with 503 — and the shed counter surfaces
-    // in /metrics once the slot frees up.
+fn every_selection_renders_one_schema() {
+    // A single shard is simply N=1: on a 1- and a 2-shard plane, every
+    // `?shard=K` drill-down answers with exactly the top-level keys of
+    // the unfiltered answer, and the /events cursor is always a string.
+    for n in [1usize, 2] {
+        let handle = serve(sharded_config(n, 2)).expect("bind ephemeral port");
+        let addr = handle.addr().to_string();
+        wait_for_slices(&addr, 2 * n as u64);
+        for path in ["/status", "/healthz", "/events?since=0&max=16"] {
+            let fetch = |p: &str| {
+                let resp = http_get(&addr, p, TIMEOUT).expect("fetch");
+                assert_eq!(resp.status, 200, "{p}: {}", resp.body);
+                parse_json(&resp.body).expect("answer parses")
+            };
+            let all = fetch(path);
+            let sep = if path.contains('?') { '&' } else { '?' };
+            for k in 0..n {
+                let drilled = fetch(&format!("{path}{sep}shard={k}"));
+                assert_eq!(
+                    top_keys(&drilled),
+                    top_keys(&all),
+                    "{path} with shard={k} on {n} shard(s)"
+                );
+                assert_eq!(drilled.get("shards").and_then(JsonValue::as_u64), Some(1));
+                if path.starts_with("/events") {
+                    assert!(drilled.get("next").and_then(JsonValue::as_str).is_some());
+                }
+            }
+            assert_eq!(
+                all.get("shards").and_then(JsonValue::as_u64),
+                Some(n as u64)
+            );
+            if path.starts_with("/events") {
+                let next = all
+                    .get("next")
+                    .and_then(JsonValue::as_str)
+                    .expect("the cursor is a string on any plane");
+                assert_eq!(next.split('.').count(), n, "one component per shard");
+            }
+        }
+        let quit = http_get(&addr, "/quit", TIMEOUT).expect("quit");
+        assert_eq!(quit.status, 200);
+        handle.wait().expect("clean shutdown");
+    }
+}
+
+/// A one-slot server whose only connection slot is held by a parked
+/// `/events` long-poll (a cursor far past the ring, so it waits out its
+/// full 5 s timeout). Returns once a plain request has been shed — so
+/// the slot is known to be held — with the server, the parked poll and
+/// that first shed answer.
+fn one_slot_server_with_parked_poll() -> (
+    ServerHandle,
+    std::thread::JoinHandle<Result<HttpResponse, ServeError>>,
+    HttpResponse,
+) {
     let cfg = ServeConfig {
         max_connections: 1,
         http_threads: 2,
         ..sharded_config(1, 1)
     };
     let handle = serve(cfg).expect("bind ephemeral port");
-    let addr = handle.addr().to_string();
-
-    // Park a long-poll on a cursor far past the ring so it waits out
-    // its full timeout while holding the only slot.
-    let parked_addr = addr.clone();
+    let parked_addr = handle.addr().to_string();
     let parked = std::thread::spawn(move || {
         http_get(
             &parked_addr,
@@ -283,23 +361,28 @@ fn admission_limit_sheds_with_503() {
     // probe connects — otherwise a fast probe could hold the slot and
     // shed the poll instead.
     std::thread::sleep(Duration::from_millis(300));
-
-    let mut shed_seen = false;
+    let addr = handle.addr().to_string();
     for _ in 0..200 {
         match http_get(&addr, "/healthz", Duration::from_secs(2)) {
-            Ok(r) if r.status == 503 => {
-                assert!(
-                    r.body.contains("shed"),
-                    "503 body names the shed: {}",
-                    r.body
-                );
-                shed_seen = true;
-                break;
-            }
+            Ok(r) if r.status == 503 => return (handle, parked, r),
             _ => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    assert!(shed_seen, "the admission limit must shed with 503");
+    panic!("the admission limit must shed with 503");
+}
+
+#[test]
+fn admission_limit_sheds_with_503() {
+    // One connection slot: a parked long-poll holds it, so the next
+    // connection must be shed with 503 — and the shed counter surfaces
+    // in /metrics once the slot frees up.
+    let (handle, parked, shed) = one_slot_server_with_parked_poll();
+    let addr = handle.addr().to_string();
+    assert!(
+        shed.body.contains("shed"),
+        "503 body names the shed: {}",
+        shed.body
+    );
     let parked_resp = parked
         .join()
         .expect("parked poll returns")
@@ -325,6 +408,42 @@ fn admission_limit_sheds_with_503() {
     assert_eq!(quit.status, 200);
     let summary = handle.wait().expect("clean shutdown");
     assert!(summary.shed >= 1, "summary carries the shed count");
+}
+
+#[test]
+fn shed_client_with_large_headers_reads_the_503() {
+    // The shed path reads at most the request line's first chunk; a
+    // client that sent more (here ~3 KB of headers in one write) must
+    // still read the 503 rather than a connection reset.
+    let (handle, parked, _) = one_slot_server_with_parked_poll();
+    let addr = handle.addr().to_string();
+    let request = format!(
+        "GET /healthz HTTP/1.1\r\nHost: {addr}\r\nX-Pad: {}\r\n\r\n",
+        "p".repeat(3_000)
+    );
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(TIMEOUT))
+        .expect("read timeout");
+    stream
+        .write_all(request.as_bytes())
+        .expect("send in one write");
+    let mut answer = String::new();
+    stream
+        .read_to_string(&mut answer)
+        .expect("the shed client reads the answer, not a reset");
+    assert!(answer.starts_with("HTTP/1.1 503"), "got {answer:.80}");
+    assert!(answer.contains("shed"), "503 body names the shed: {answer}");
+
+    let parked_resp = parked
+        .join()
+        .expect("parked poll returns")
+        .expect("poll ok");
+    assert_eq!(parked_resp.status, 200, "the admitted poll still answers");
+    let quit = http_get(&addr, "/quit", TIMEOUT).expect("quit");
+    assert_eq!(quit.status, 200);
+    let summary = handle.wait().expect("clean shutdown");
+    assert!(summary.shed >= 1, "the large-header client was shed");
 }
 
 #[test]

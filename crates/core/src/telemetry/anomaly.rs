@@ -17,6 +17,7 @@
 //! coefficients mid-run shifts measured energy away from the learned
 //! baseline without touching the instruction mix.
 
+use super::export::json_num;
 use crate::instruction::{Instruction, INSTRUCTION_COUNT};
 
 /// Tuning knobs for the [`AnomalyDetector`]. The defaults flag a
@@ -110,20 +111,11 @@ impl AnomalyEvent {
              \"z_score\":{}}}",
             self.window,
             self.start_cycle,
-            num(self.measured_j),
-            num(self.predicted_j),
-            num(self.deviation_pct),
-            num(self.z_score),
+            json_num(self.measured_j),
+            json_num(self.predicted_j),
+            json_num(self.deviation_pct),
+            json_num(self.z_score),
         )
-    }
-}
-
-/// A JSON-safe float (non-finite values become `null`).
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }
 

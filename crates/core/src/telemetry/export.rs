@@ -48,9 +48,10 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` as a JSON-compatible number (JSON has no infinities
-/// or NaN; those become `null`).
-fn json_num(v: f64) -> String {
+/// Formats an `f64` as a JSON number: `f64`'s `Display` output, which
+/// round-trips exactly through `str::parse`; infinities and NaN, which
+/// JSON cannot spell, become `null`.
+pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -139,9 +139,10 @@ cargo run --release -p ahbpower-bench --bin repro -- query \
 echo "  serve ok (/ /healthz /metrics /status /events /query /quit on $ADDR; flight recorder + offline query)"
 
 echo "== sharded serving + load generation (smoke) =="
-# A 2-shard plane: serve-probe --shards 2 walks every merged endpoint
-# plus the ?shard=K drill-downs and additionally demands that the
-# merged /query energy equals the per-shard sum to 1e-9 over HTTP.
+# A 2-shard plane: serve-probe reads N=2 from /status, walks every
+# merged endpoint plus the ?shard=K drill-downs (each must answer the
+# unfiltered schema) and demands that the merged /query energy equals
+# the per-shard sum to 1e-9 over HTTP.
 SHARD_LOG="$(mktemp)"
 cargo run --release -p ahbpower-bench --bin repro -- serve \
     --mix paper --slice-cycles 10000 --slices 3 --shards 2 > "$SHARD_LOG" 2>&1 &
@@ -159,7 +160,7 @@ if [ -z "$SHARD_ADDR" ]; then
     exit 1
 fi
 cargo run --release -p ahbpower-bench --bin repro -- serve-probe \
-    --addr "$SHARD_ADDR" --shards 2 --quit
+    --addr "$SHARD_ADDR" --quit
 wait "$SHARD_PID"
 grep -q "served" "$SHARD_LOG"
 rm -f "$SHARD_LOG"
